@@ -1,0 +1,6 @@
+"""`python -m grunwald ...` runs the grunwald command."""
+
+from .cli import console_main
+
+if __name__ == "__main__":
+    console_main()

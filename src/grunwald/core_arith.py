@@ -17,12 +17,18 @@ from .errors import InternalContradictionError, NonUnitError, ValidationError
 
 FACTOR_LIMIT = 1 << 96
 
-# Deterministic Miller-Rabin witness set: the first twelve primes certify
-# everything below 3.3e24; the extras give margin up to FACTOR_LIMIT scale.
+# Miller-Rabin witnesses.  The first twelve primes are a proven deterministic
+# set only below psi_12 ~ 3.18e23, the first thirteen (so these eighteen) only
+# below psi_13 ~ 3.3e24 (Sorenson & Webster, Math. Comp. 86 (2017)).  Above
+# psi_13, up to FACTOR_LIMIT = 2^96, passing every base is a probable-prime
+# result, not a proof.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61)
 
 
 def is_prime(n: int) -> bool:
+    """Miller-Rabin on _MR_WITNESSES: proven correct for n < psi_13 ~ 3.3e24;
+    for larger n (FACTOR_LIMIT = 2^96 bounds what factor accepts) True means
+    a probable prime, not a certified one."""
     if n < 2:
         return False
     for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
@@ -104,7 +110,11 @@ _SMALL_PRIMES = tuple(itertools.islice(primes_stream(), 200))
 
 @dataclass(frozen=True)
 class FactoredInteger:
-    """A positive integer together with its certified prime factorization."""
+    """A positive integer together with its prime factorization.
+
+    The primes are checked with is_prime: certified below psi_13 ~ 3.3e24,
+    probable primes between psi_13 and FACTOR_LIMIT = 2^96.
+    """
 
     value: int
     factors: tuple[tuple[int, int], ...]

@@ -10,7 +10,8 @@ widens the exponent, the auxiliary primes and the cycle to 2m.
 
 oracle_minimal is the independent ground truth: exhaustive enumeration of
 primitive characters by increasing conductor, sharing no search logic
-with the constructive path.
+with the constructive path.  It visits only the conductors F0 * g that
+the prescribed local conductors admit (see _admissible_conductors).
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from .characters import (
     character_order,
     conductor,
     evaluate_local,
-    iter_characters,
     local_character,
     local_component,
     primitivize,
@@ -38,7 +38,6 @@ from .core_arith import (
     Place,
     components,
     dlog_units,
-    factor,
     prime_power,
     primes_stream,
     unit_group,
@@ -480,24 +479,79 @@ def construct(instance: GrunwaldInstance) -> GrunwaldSolution:
     return solve_character(instance, cycle, aux_primes=aux)
 
 
-def _admissible_factorization(instance, fac, mu, l_mu, r_mu):
-    prescribed = {p.prime: psi for p, psi in zip(instance.places, instance.local_characters) if not p.is_real}
-    fdict = dict(fac)
-    for p, psi in prescribed.items():
-        if fdict.get(p, 0) != psi.conductor_exponent:
+_SIEVE_BLOCK = 1 << 12
+
+
+def _admissible_conductors(instance: GrunwaldInstance, mu: int, cap: int):
+    """Yield (f, factorization) for every conductor f <= cap a primitive
+    exponent-mu character with the prescribed local data could have, in
+    increasing order.
+
+    f = F0 * g: F0 fixes the prescribed conductor exponents, g is coprime
+    to S and built from q^1 (q odd, gcd(mu, q-1) > 1), l^a (l odd,
+    2 <= a <= r+1) and 2^a (mu even, 2 <= a <= r+2), where mu = l^r.
+    g is factored by a segmented sieve over blocks of _SIEVE_BLOCK.
+    """
+    l_mu, r_mu = prime_power(mu)
+    s_primes = set(instance.finite_primes)
+    head = tuple(
+        (psi.place.prime, psi.conductor_exponent)
+        for psi in instance.local_characters
+        if not psi.place.is_real and psi.conductor_exponent
+    )
+    f0 = math.prod(p**k for p, k in head)
+
+    def exponent_range(q):
+        if q in s_primes:
             return None
-    for q, a in fac:
-        if q in prescribed:
-            continue
         if q == 2:
-            if mu % 2 or not (a == 2 or 3 <= a <= r_mu + 2):
-                return None
-        elif a == 1:
-            if math.gcd(mu, q - 1) == 1:
-                return None
-        elif q != l_mu or a > r_mu + 1:
-            return None
-    return prescribed
+            return (2, r_mu + 2) if mu % 2 == 0 else None
+        if q == l_mu:
+            return (2, r_mu + 1)
+        return (1, 1) if math.gcd(mu, q - 1) > 1 else None
+
+    limit = cap // f0
+    stream = primes_stream()
+    sieve_primes: list[tuple[int, tuple[int, int] | None]] = []
+    pending = next(stream)
+    for lo in range(1, limit + 1, _SIEVE_BLOCK):
+        hi = min(lo + _SIEVE_BLOCK, limit + 1)
+        while pending * pending < hi:
+            sieve_primes.append((pending, exponent_range(pending)))
+            pending = next(stream)
+        n = hi - lo
+        rest = list(range(lo, hi))
+        found: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+        alive = bytearray(b"\x01") * n
+        for q, allowed in sieve_primes:
+            start = -lo % q
+            if allowed is None:
+                alive[start::q] = bytes(len(range(start, n, q)))
+                continue
+            low, high = allowed
+            for i in range(start, n, q):
+                if not alive[i]:
+                    continue
+                v, a = rest[i] // q, 1
+                while v % q == 0:
+                    v //= q
+                    a += 1
+                if low <= a <= high:
+                    rest[i] = v
+                    found[i].append((q, a))
+                else:
+                    alive[i] = 0
+        for i in range(n):
+            if not alive[i]:
+                continue
+            # what is left is 1 or a prime above every sieve prime
+            v = rest[i]
+            if v > 1:
+                allowed = exponent_range(v)
+                if allowed is None or allowed[0] > 1:
+                    continue
+                found[i].append((v, 1))
+            yield f0 * (lo + i), tuple(sorted(head + tuple(found[i])))
 
 
 def _primitive_slices(comp, mu):
@@ -512,12 +566,7 @@ def _primitive_slices(comp, mu):
     return out
 
 
-def _oracle_pass_pruned(instance, f, mu):
-    l_mu, r_mu = prime_power(mu)
-    fac = factor(f).factors
-    prescribed = _admissible_factorization(instance, fac, mu, l_mu, r_mu)
-    if prescribed is None:
-        return None
+def _oracle_pass_pruned(instance, f, mu, prescribed):
     scale = mu // instance.m
     comps = components(f)
     slots = []
@@ -570,32 +619,17 @@ def _oracle_pass_pruned(instance, f, mu):
     return None
 
 
-def _oracle_pass_full(instance, f, mu):
-    if f > 1 and f % 4 == 2:
-        return None
-    for chi in iter_characters(f, mu):
-        if conductor(chi).norm != f:
-            continue
-        if all(
-            local_component(chi, psi.place) == psi
-            for psi in instance.local_characters
-        ):
-            return chi
-    return None
-
-
 def oracle_minimal(
     instance: GrunwaldInstance,
     cap: int,
     exponent: int | None = None,
-    prune: bool = True,
 ) -> GrunwaldSolution:
     """Exhaustive minimal solution: first matching primitive character by
     increasing conductor, then lexicographic exponent vector.
 
-    prune=False disables the structural conductor filters and compares
-    local components directly on every candidate — slower, used to verify
-    the pruned search on small caps.
+    Only the admissible conductors F0 * g are visited (see
+    _admissible_conductors); every character of exact conductor f with
+    the prescribed unit parts is tried on each.
     """
     _require_rational(instance)
     if cap < 1:
@@ -609,9 +643,13 @@ def oracle_minimal(
         mu = exponent
         if mu % m:
             raise ValidationError("exponent must be a multiple of the instance exponent")
-    search = _oracle_pass_pruned if prune else _oracle_pass_full
-    for f in range(1, cap + 1):
-        chi = search(instance, f, mu)
+    prescribed = {
+        psi.place.prime: psi
+        for psi in instance.local_characters
+        if not psi.place.is_real
+    }
+    for f, _ in _admissible_conductors(instance, mu, cap):
+        chi = _oracle_pass_pruned(instance, f, mu, prescribed)
         if chi is not None:
             return GrunwaldSolution(chi, mu, report.occurs, (), conductor(chi))
     raise NoSolutionBelowCap(f"no exponent-{mu} solution with conductor <= {cap}")

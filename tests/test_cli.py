@@ -142,6 +142,23 @@ def test_console_script_deterministic():
     assert runs[0].stdout.splitlines()[0] == "occurs=true"
 
 
+def test_python_dash_m_entry_point():
+    ok = subprocess.run(
+        [sys.executable, "-m", "grunwald", "special-case", "--field", "Q", "--m", "8", "--S", "2"],
+        capture_output=True,
+        text=True,
+    )
+    assert ok.returncode == 0
+    assert ok.stdout.splitlines() == ["occurs=true", "s=2", "a0=16", "S0=2"]
+    bad = subprocess.run(
+        [sys.executable, "-m", "grunwald", "powres", "--p", "4", "--l", "3"],
+        capture_output=True,
+        text=True,
+    )
+    assert bad.returncode == 2
+    assert bad.stderr.startswith("error: ")
+
+
 def test_infinity_spelled_out(capsys, tmp_path):
     inst = {"m": 2, "places": [{"place": "infinity", "sign_exponent": 1}]}
     path = tmp_path / "real.json"

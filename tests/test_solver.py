@@ -9,7 +9,7 @@ pass must agree on minimal conductors wherever we can afford both.
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from grunwald import (
@@ -34,12 +34,13 @@ from grunwald import (
     solve_character,
     unramified_local,
 )
-from grunwald.core_arith import Place, factor, is_prime
+from grunwald.core_arith import Place, components, factor, is_prime, prime_power
 from grunwald.errors import (
     InternalContradictionError,
     NoSolutionBelowCap,
     ValidationError,
 )
+from grunwald.solver import _SIEVE_BLOCK, _admissible_conductors
 
 INF = Place(None)
 
@@ -238,23 +239,162 @@ def test_oracle_never_beaten_by_construct(m, prescribe):
         assert local_component(best.character, psi.place) == psi
 
 
+# --- reference oracle: every character mod every f <= cap --------------------
+
+def reference_filter(instance, fac, mu):
+    """The conductor shapes the generated oracle may visit, checked on one
+    factorization: the prescribed exponents exactly, and outside S only
+    q^1 (gcd(mu, q - 1) > 1), l^a (l odd, a <= r + 1) and 2^a (2 <= a <= r + 2)."""
+    l_mu, r_mu = prime_power(mu)
+    prescribed = {
+        psi.place.prime: psi for psi in instance.local_characters if not psi.place.is_real
+    }
+    fdict = dict(fac)
+    for p, psi in prescribed.items():
+        if fdict.get(p, 0) != psi.conductor_exponent:
+            return False
+    for q, a in fac:
+        if q in prescribed:
+            continue
+        if q == 2:
+            if mu % 2 or not (a == 2 or 3 <= a <= r_mu + 2):
+                return False
+        elif a == 1:
+            if math.gcd(mu, q - 1) == 1:
+                return False
+        elif q != l_mu or a > r_mu + 1:
+            return False
+    return True
+
+
+def full_oracle(instance, cap, exponent=None):
+    """First matching character by conductor, then exponent vector, found by
+    enumerating every character mod every f <= cap: no conductor filter."""
+    m = instance.m
+    if exponent is None:
+        mu = 2 * m if obstruction_exponent(instance) else m
+    else:
+        mu = exponent
+    for f in range(1, cap + 1):
+        if f > 1 and f % 4 == 2:
+            continue
+        for chi in iter_characters(f, mu):
+            if conductor(chi).norm != f:
+                continue
+            if all(
+                local_component(chi, psi.place) == psi
+                for psi in instance.local_characters
+            ):
+                return chi
+    return None
+
+
 def test_oracle_prune_matches_full_enumeration():
+    # the generated oracle against full enumeration; the last two cases
+    # mix a ramified with a real place and take the Wang instance at 16
     cases = [
-        make_instance(4, [local_character(Place(5), 4, conductor_exponent=1, unit_exponents=(1,))]),
-        make_instance(2, [sign_local(2, 1)]),
-        make_instance(3, [unramified_local(2, 3, 1)]),
-        make_instance(8, [unramified_local(3, 8, 1)]),
+        (make_instance(4, [local_character(Place(5), 4, conductor_exponent=1, unit_exponents=(1,))]), 400, None),
+        (make_instance(2, [sign_local(2, 1)]), 400, None),
+        (make_instance(3, [unramified_local(2, 3, 1)]), 400, None),
+        (make_instance(8, [unramified_local(3, 8, 1)]), 400, None),
+        (make_instance(4, [local_character(Place(5), 4, conductor_exponent=1, unit_exponents=(2,)), sign_local(4, 1)]), 400, None),
+        (make_instance(8, [WANG_PSI]), 600, 16),
     ]
-    for inst in cases:
-        a = oracle_minimal(inst, 400, prune=True)
-        b = oracle_minimal(inst, 400, prune=False)
-        assert a.character == b.character
+    for inst, cap, exponent in cases:
+        want = full_oracle(inst, cap, exponent)
+        assert want is not None
+        assert oracle_minimal(inst, cap, exponent=exponent).character == want
+
+
+# --- the admissible conductors against the reference filter -----------------
+
+def admissible_instance(m, spec):
+    """An instance of exponent m with one local character per (place, k, c):
+    conductor exponent at most k at a finite place (unit exponents scaled by
+    c, so the normalized exponent may drop), the sign c at the real place."""
+    chars = []
+    for p, k, c in spec:
+        if p is None:
+            chars.append(sign_local(m, c if m % 2 == 0 else 0))
+            continue
+        orders = components(p**k)[0].orders if k else ()
+        exps = tuple(c * (i + 1) * (m // math.gcd(m, o)) for i, o in enumerate(orders))
+        chars.append(local_character(Place(p), m, k, exps, c))
+    return make_instance(m, chars)
+
+
+def f0_of(instance):
+    return math.prod(
+        psi.place.prime**psi.conductor_exponent
+        for psi in instance.local_characters
+        if not psi.place.is_real
+    )
+
+
+def assert_admissible_matches(instance, mu, cap):
+    got = list(_admissible_conductors(instance, mu, cap))
+    facs = [(f, factor(f).factors) for f in range(1, cap + 1)]
+    assert got == [(f, fac) for f, fac in facs if reference_filter(instance, fac, mu)]
+
+
+admissible_specs = st.lists(
+    st.tuples(
+        st.sampled_from([None, 2, 3, 5, 7, 11, 13, 17]),
+        st.integers(min_value=0, max_value=3),
+        st.integers(min_value=1, max_value=5),
+    ),
+    max_size=4,
+    unique_by=lambda t: t[0],
+).map(lambda spec: sorted(spec, key=lambda t: (t[0] is None, t[0] or 0)))
+
+
+@given(
+    m=st.sampled_from([2, 3, 4, 5, 8, 9, 16]),
+    spec=admissible_specs,
+    doubled=st.booleans(),
+    cap_kind=st.sampled_from(["below", "equal", "above"]),
+    mult=st.integers(min_value=1, max_value=12),
+    extra=st.integers(min_value=0, max_value=3000),
+)
+@example(m=8, spec=[(2, 3, 1), (3, 0, 1), (None, 0, 1)], doubled=True, cap_kind="below", mult=1, extra=0)
+@example(m=9, spec=[(3, 2, 1), (7, 1, 1), (None, 0, 1)], doubled=False, cap_kind="equal", mult=1, extra=0)
+@example(m=16, spec=[(5, 1, 1), (13, 0, 2)], doubled=False, cap_kind="above", mult=1, extra=2000)
+# caps of a few F0: the whole block lies below the square of 3 resp. 2
+@example(m=9, spec=[(7, 1, 1)], doubled=False, cap_kind="above", mult=8, extra=0)
+@example(m=4, spec=[(5, 1, 1)], doubled=False, cap_kind="above", mult=3, extra=0)
+@settings(max_examples=60, deadline=None)
+def test_admissible_conductors_match_reference_filter(m, spec, doubled, cap_kind, mult, extra):
+    inst = admissible_instance(m, spec)
+    f0 = f0_of(inst)
+    cap = {
+        "below": max(1, f0 - 1 - extra % f0),
+        "equal": f0,
+        "above": min(f0 * mult + extra % f0, 20000),
+    }[cap_kind]
+    # the widened exponent 2m only arises for 2-power m (the special case)
+    assert_admissible_matches(inst, 2 * m if doubled and m % 2 == 0 else m, cap)
+
+
+@pytest.mark.parametrize(
+    "m,spec",
+    [
+        (4, [(3, 0, 1), (None, 0, 1)]),  # F0 = 1: several sieve blocks
+        (3, []),
+    ],
+)
+def test_admissible_conductors_span_sieve_blocks(m, spec):
+    inst = admissible_instance(m, spec)
+    assert f0_of(inst) == 1
+    assert_admissible_matches(inst, m, 3 * _SIEVE_BLOCK + 17)
 
 
 def test_oracle_cap_raises():
     inst = make_instance(9, [unramified_local(2, 9, 1)])
     with pytest.raises(NoSolutionBelowCap):
         oracle_minimal(inst, 5)
+    wang = make_instance(8, [WANG_PSI])  # F0 = 2^5 exceeds the cap
+    with pytest.raises(NoSolutionBelowCap, match="no exponent-16 solution with conductor <= 31"):
+        oracle_minimal(wang, 31)
 
 
 # --- bound report -------------------------------------------------------------
