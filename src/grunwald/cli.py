@@ -120,16 +120,37 @@ def _cmd_least_prime(args) -> int:
 
 
 def _cmd_scan(args) -> int:
-    records = list(
-        scan_family(args.max_conductor, _parse_places(args.S), args.epsilon, args.cap)
-    )
+    S = _parse_places(args.S)
+    # checked here too, so that bad input never creates or truncates --out
+    if args.epsilon <= 0:
+        raise ValidationError("epsilon must be positive")
+    flagged = 0
+    maxima = None
+
+    def tally(records):
+        # running flagged count and ratio maxima while the CSV streams out
+        nonlocal flagged, maxima
+        for rec in records:
+            if rec.cap_exceeded:
+                flagged += 1
+            elif maxima is None:
+                maxima = [rec.ratio_a, rec.ratio_b, rec.ratio_c]
+            else:
+                # plain comparisons: this runs once per CSV row
+                if rec.ratio_a > maxima[0]:
+                    maxima[0] = rec.ratio_a
+                if rec.ratio_b > maxima[1]:
+                    maxima[1] = rec.ratio_b
+                if rec.ratio_c > maxima[2]:
+                    maxima[2] = rec.ratio_c
+            yield rec
+
+    records = scan_family(args.max_conductor, S, args.epsilon, args.cap)
     with open(args.out, "w", encoding="utf-8") as handle:
-        count = write_scan_csv(records, handle)
-    clean = [rec for rec in records if not rec.cap_exceeded]
+        count = write_scan_csv(tally(records), handle)
     print(f"records={count}")
-    print(f"flagged={count - len(clean)}")
-    for name in ("ratio_a", "ratio_b", "ratio_c"):
-        value = max((getattr(rec, name) for rec in clean), default=0.0)
+    print(f"flagged={flagged}")
+    for name, value in zip(("ratio_a", "ratio_b", "ratio_c"), maxima or [0.0] * 3):
         print(f"max_{name}={value!r}")
     return 0
 

@@ -197,7 +197,7 @@ class Place:
 
     def __post_init__(self):
         if self.prime is not None and not is_prime(self.prime):
-            raise ValidationError(f"not a certified prime: {self.prime}")
+            raise ValidationError(f"not a prime: {self.prime}")
 
     @classmethod
     def real(cls) -> "Place":

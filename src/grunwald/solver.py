@@ -4,9 +4,11 @@ Given a prime-power exponent m and finitely many prescribed local
 characters, build a Dirichlet character realizing all of them at once:
 pick auxiliary primes that rigidify the relevant S-unit classes, assemble
 a cycle (the working modulus), and solve a linear system over Z/m for the
-exponent vector, returning the solution of least conductor.  The special
-case of Wang is decided before solving; obstructed data transparently
-widens the exponent, the auxiliary primes and the cycle to 2m.
+exponent vector, returning the solution of least conductor mod the cycle
+(or, when the solution lattice exceeds _KERNEL_LIMIT elements, the
+particular solution, flagged minimised=False).  The special case of Wang
+is decided before solving; obstructed data transparently widens the
+exponent, the auxiliary primes and the cycle to 2m.
 
 oracle_minimal is the independent ground truth: exhaustive enumeration of
 primitive characters by increasing conductor, sharing no search logic
@@ -120,6 +122,9 @@ class GrunwaldSolution:
     special_case_flag: bool
     aux_primes: tuple[int, ...]
     cycle: CycleValue
+    # False when the solution lattice exceeded _KERNEL_LIMIT elements and
+    # the particular solution was returned without the least-conductor search
+    minimised: bool = True
 
     @property
     def conductor_norm(self) -> int:
@@ -139,14 +144,37 @@ def p_star_basis(m: int, S) -> tuple[int, ...]:
     return tuple(head + primes)
 
 
-def auxiliary_primes(m: int, S, cap: int = 10**6) -> tuple[int, ...]:
-    """Greedy choice of primes outside S that cut the survivor classes down.
+def _root_log_table(q: int, g: int, l: int) -> dict[int, int]:
+    """Discrete logs of the g-th roots of unity mod q (g | q - 1, g a power
+    of the prime l) to a generator zeta: zeta^i -> i for 0 <= i < g."""
+    exp = (q - 1) // g
+    for a in range(2, q):
+        zeta = pow(a, exp, q)
+        if pow(zeta, g // l, q) != 1:
+            break
+    table = {}
+    power = 1
+    for i in range(g):
+        table[power] = i
+        power = power * zeta % q
+    return table
 
-    A basis element product survives q when it is a local m-th power at q;
-    survivors must shrink to the trivial class, plus the a0 class when the
-    special case occurs.  Each appended prime strictly shrinks the set.
-    For non-cyclic 2-power exponents the prime 2 (when 2 is outside S) or
-    a prime q = +-3 mod 8 (when 2 is in S, so sqrt 2 stays out of Q_q) is
+
+def auxiliary_primes(m: int, S, cap: int = 10**6) -> tuple[int, ...]:
+    """Primes outside S that cut the survivor subgroup down, found by
+    subgroup elimination.
+
+    The survivors are the elements of G = Z/2 x (Z/m)^k, the exponent
+    vectors on p_star_basis (the Z/2 factor belongs to -1), whose basis
+    product is a local m-th power at every chosen prime.  They form a
+    subgroup, kept as at most |basis| generators.  A prime q is chosen
+    when the power map G -> F_q*/F_q*^m = Z/g, g = gcd(m, q - 1), is
+    nonzero on some generator; one least-valuation pivot step (as in
+    _echelon) then replaces the generators by ones of the kernel.  The
+    search stops once every generator lies in the allowed subgroup: the
+    trivial class, plus the a0 class when the special case occurs.  For
+    non-cyclic 2-power exponents the prime 2 (when 2 is outside S) or a
+    prime q = +-3 mod 8 (when 2 is in S, so sqrt 2 stays out of Q_q) is
     additionally required.
     """
     l, r = prime_power(m)
@@ -154,17 +182,21 @@ def auxiliary_primes(m: int, S, cap: int = 10**6) -> tuple[int, ...]:
     s_primes = {v.prime for v in S if not v.is_real}
     basis = p_star_basis(m, S)
     ranges = [2 if b == -1 else m for b in basis]
-    survivors = set(itertools.product(*(range(n) for n in ranges)))
-    allowed = {tuple(0 for _ in basis)}
+    gens = [tuple(int(i == j) for j in range(len(basis))) for i in range(len(basis))]
+    zero = (0,) * len(basis)
+    allowed = {zero}
     report = special_case(FieldDescriptor.rationals(), m, S)
     if report.occurs:
         vec = [0] * len(basis)
         vec[basis.index(2)] = m // 2
         allowed.add(tuple(vec))
 
+    def combine(x, c, y):
+        return tuple((a + c * b) % n for a, b, n in zip(x, y, ranges))
+
     chosen: list[int] = []
     for q in primes_stream():
-        if survivors <= allowed:
+        if all(h in allowed for h in gens):
             break
         if q > cap:
             raise SearchCapError(f"auxiliary-prime search passed {cap}")
@@ -175,14 +207,26 @@ def auxiliary_primes(m: int, S, cap: int = 10**6) -> tuple[int, ...]:
             continue
         exp = (q - 1) // g
         beta = [pow(b % q, exp, q) for b in basis]
-        kernel = {
-            vec
-            for vec in survivors
-            if math.prod(pow(bq, e, q) for bq, e in zip(beta, vec)) % q == 1
-        }
-        if len(kernel) < len(survivors):
-            chosen.append(q)
-            survivors = kernel
+        images = [
+            math.prod(pow(bq, e, q) for bq, e in zip(beta, h)) % q for h in gens
+        ]
+        if all(z == 1 for z in images):
+            continue
+        chosen.append(q)
+        table = _root_log_table(q, g, l)
+        values = [table[z] for z in images]
+        s = valuation(g, l)
+        i = min(
+            (t for t in range(len(gens)) if values[t]),
+            key=lambda t: valuation(values[t], l),
+        )
+        v = valuation(values[i], l)
+        inv = pow(values[i] // l**v, -1, l ** (s - v))
+        for t in range(len(gens)):
+            if t != i and values[t]:
+                gens[t] = combine(gens[t], -(values[t] // l**v) * inv, gens[i])
+        gens[i] = combine(zero, l ** (s - v), gens[i])
+        gens = [h for h in gens if h != zero]
 
     if l == 2 and r >= 3:
         if 2 not in s_primes:
@@ -388,7 +432,7 @@ def _minimal_candidate(part, basis, ranges, M, mu):
 
     total = math.prod(ranges, start=1)
     if total > _KERNEL_LIMIT:
-        return tuple(part)
+        return tuple(part), False
     best = None
     depth = len(basis)
 
@@ -407,7 +451,7 @@ def _minimal_candidate(part, basis, ranges, M, mu):
                 y = [(a + v) % mu for a, v in zip(y, vec)]
 
     rec(0, list(part))
-    return best[1]
+    return best[1], True
 
 
 def solve_character(
@@ -450,9 +494,9 @@ def solve_character(
     A, b, pivots, used_cols = reduced
     n = len(rows[0]) if rows else 0
     part, basis, ranges = _solution_lattice(A, b, pivots, used_cols, l, rho, n)
-    vec = _minimal_candidate(part, basis, ranges, M, mu)
+    vec, minimised = _minimal_candidate(part, basis, ranges, M, mu)
     chi = primitivize(DirichletCharacter(M, mu, tuple(vec)))
-    solution = GrunwaldSolution(chi, mu, report.occurs, aux, cycle)
+    solution = GrunwaldSolution(chi, mu, report.occurs, aux, cycle, minimised)
     _verify_solution(instance, solution)
     return solution
 

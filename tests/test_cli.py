@@ -96,6 +96,37 @@ def test_scan_writes_csv(capsys, tmp_path):
     assert int(out[0].split("=")[1]) == len(body) - 1
 
 
+def test_scan_bad_epsilon_leaves_out_file_alone(capsys, tmp_path):
+    missing = tmp_path / "missing.csv"
+    assert run(["scan", "--max-conductor", "40", "--epsilon", "0", "--out", str(missing)]) == 2
+    assert not missing.exists()
+    kept = tmp_path / "kept.csv"
+    kept.write_text("keep\n")
+    assert run(["scan", "--max-conductor", "40", "--epsilon", "-1", "--out", str(kept)]) == 2
+    assert kept.read_text() == "keep\n"
+    assert capsys.readouterr().err.splitlines() == ["error: epsilon must be positive"] * 2
+
+
+def test_scan_summary_matches_records(capsys, tmp_path):
+    # the running flagged count and maxima against the written rows; a
+    # small cap flags some records, cap 1 flags all (maxima default 0.0)
+    for cap in ("7", "1"):
+        out_file = tmp_path / "scan.csv"
+        assert run(["scan", "--max-conductor", "60", "--cap", cap, "--out", str(out_file)]) == 0
+        kv = dict(line.split("=", 1) for line in lines(capsys))
+        rows = [row.split(",") for row in out_file.read_text().splitlines()[1:]]
+        clean = [row for row in rows if row[4] != "0"]
+        assert int(kv["records"]) == len(rows)
+        assert int(kv["flagged"]) == len(rows) - len(clean)
+        for col, name in ((6, "ratio_a"), (7, "ratio_b"), (8, "ratio_c")):
+            assert float(kv[f"max_{name}"]) == max((float(row[col]) for row in clean), default=0.0)
+
+
+def test_place_error_says_not_a_prime(capsys):
+    assert run(["special-case", "--m", "8", "--S", "2,9"]) == 2
+    assert capsys.readouterr().err.strip() == "error: not a prime: 9"
+
+
 def test_exit_code_validation():
     assert run(["construct", "--instance", "/nonexistent.json"]) == 2
     assert run(["powres", "--p", "4", "--l", "3"]) == 2

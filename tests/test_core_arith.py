@@ -203,7 +203,7 @@ def test_unit_residue():
 def test_place_basics():
     assert Place.parse("infinity").is_real
     assert Place.parse("7") == Place(7)
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="^not a prime: 10$"):
         Place(10)
     ordering = sorted([Place(None), Place(5), Place(2)], key=Place.sort_key)
     assert [v.prime for v in ordering] == [2, 5, None]

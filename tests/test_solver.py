@@ -6,7 +6,9 @@ and require an exact local match.  The oracle pass and the constructive
 pass must agree on minimal conductors wherever we can afford both.
 """
 
+import itertools
 import math
+import random
 
 import pytest
 from hypothesis import example, given, settings
@@ -14,6 +16,7 @@ from hypothesis import strategies as st
 
 from grunwald import (
     BoundReport,
+    FieldDescriptor,
     GrunwaldInstance,
     auxiliary_primes,
     bound_report,
@@ -32,12 +35,21 @@ from grunwald import (
     p_star_basis,
     sign_local,
     solve_character,
+    special_case,
     unramified_local,
 )
-from grunwald.core_arith import Place, components, factor, is_prime, prime_power
+from grunwald.core_arith import (
+    Place,
+    components,
+    factor,
+    is_prime,
+    prime_power,
+    primes_stream,
+)
 from grunwald.errors import (
     InternalContradictionError,
     NoSolutionBelowCap,
+    SearchCapError,
     ValidationError,
 )
 from grunwald.solver import _SIEVE_BLOCK, _admissible_conductors
@@ -56,21 +68,87 @@ WANG_PSI = local_character(
 
 # --- auxiliary primes --------------------------------------------------------
 
+def power_residue(basis, m, exps, q):
+    """(prod b^e)^((q - 1) / gcd(m, q - 1)) mod q: 1 iff prod b^e is an
+    m-th power at q."""
+    t = (q - 1) // math.gcd(m, q - 1)
+    val = 1
+    for b, e in zip(basis, exps):
+        if e:
+            val = val * pow(b % q, e * t, q) % q
+    return val
+
+
 def brute_survivors(m, S, qs):
     """Survivor vectors of the power map after cutting by each prime in qs."""
     basis = p_star_basis(m, S)
-    vectors = set()
     ranges = [2 if b == -1 else m for b in basis]
-    for exps in _product(ranges):
-        vec = []
-        ok = True
-        for q in qs:
-            val = 1
-            for b, e in zip(basis, exps):
-                val = val * pow(b % q, e * ((q - 1) // math.gcd(m, q - 1)), q) % q
-            vec.append(val)
-        vectors.add((exps, tuple(vec)))
+    vectors = {
+        (exps, tuple(power_residue(basis, m, exps, q) for q in qs))
+        for exps in _product(ranges)
+    }
     return basis, vectors
+
+
+def allowed_survivors(m, S):
+    """The trivial class, plus the a0 = 2^(m/2) class in the special case."""
+    basis = p_star_basis(m, S)
+    zero = (0,) * len(basis)
+    allowed = {zero}
+    if m % 8 == 0 and Place(2) in S:
+        a0_vec = list(zero)
+        a0_vec[basis.index(2)] = m // 2
+        allowed.add(tuple(a0_vec))
+    return allowed
+
+
+def reference_auxiliary_primes(m, S, cap=10**6):
+    """The set-based greedy search: all 2 * m^|S| exponent vectors are kept
+    as a set and filtered by every prime tried (exponential in |S|)."""
+    l, r = prime_power(m)
+    S = frozenset(S)
+    s_primes = {v.prime for v in S if not v.is_real}
+    basis = p_star_basis(m, S)
+    ranges = [2 if b == -1 else m for b in basis]
+    survivors = set(itertools.product(*(range(n) for n in ranges)))
+    allowed = {tuple(0 for _ in basis)}
+    report = special_case(FieldDescriptor.rationals(), m, S)
+    if report.occurs:
+        vec = [0] * len(basis)
+        vec[basis.index(2)] = m // 2
+        allowed.add(tuple(vec))
+
+    chosen = []
+    for q in primes_stream():
+        if survivors <= allowed:
+            break
+        if q > cap:
+            raise SearchCapError(f"auxiliary-prime search passed {cap}")
+        if q == l or q in s_primes:
+            continue
+        g = math.gcd(m, q - 1)
+        if g == 1:
+            continue
+        exp = (q - 1) // g
+        beta = [pow(b % q, exp, q) for b in basis]
+        kernel = {
+            vec
+            for vec in survivors
+            if math.prod(pow(bq, e, q) for bq, e in zip(beta, vec)) % q == 1
+        }
+        if len(kernel) < len(survivors):
+            chosen.append(q)
+            survivors = kernel
+
+    if l == 2 and r >= 3:
+        if 2 not in s_primes:
+            chosen.append(2)
+        elif not any(q % 8 in (3, 5) for q in chosen):
+            for q in primes_stream():
+                if q % 8 in (3, 5) and q not in s_primes and q not in chosen:
+                    chosen.append(q)
+                    break
+    return tuple(chosen)
 
 
 def _product(ranges):
@@ -107,13 +185,119 @@ def test_auxiliary_primes_kill_survivors():
         qs = [q for q in auxiliary_primes(m, places(*S)) if q != 2]
         basis, vectors = brute_survivors(m, places(*S), qs)
         survivors = {exps for exps, vec in vectors if all(v == 1 for v in vec)}
-        zero = (0,) * len(basis)
-        allowed = {zero}
-        if m % 8 == 0 and 2 in S:
-            a0_vec = list(zero)
-            a0_vec[basis.index(2)] = m // 2
-            allowed.add(tuple(a0_vec))
-        assert survivors <= allowed, (m, S, survivors)
+        assert survivors <= allowed_survivors(m, places(*S)), (m, S, survivors)
+
+
+AUX_M = (2, 3, 4, 5, 8, 9, 16, 25, 27)
+AUX_POOL = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
+
+
+def _aux_max_places(m):
+    # keep the reference's 2 * m^|S| vectors at most 2^16
+    k = 0
+    while 2 * m ** (k + 1) <= 1 << 16 and k < len(AUX_POOL):
+        k += 1
+    return k
+
+
+@given(
+    m=st.sampled_from(AUX_M),
+    primes=st.lists(st.sampled_from(AUX_POOL), unique=True, max_size=len(AUX_POOL)),
+    with_two=st.booleans(),
+    real=st.booleans(),
+)
+@example(m=8, primes=[3], with_two=True, real=False)
+@example(m=16, primes=[5, 13], with_two=True, real=True)
+@example(m=8, primes=[3, 5, 7], with_two=True, real=True)
+@example(m=27, primes=[3, 5, 7], with_two=False, real=False)
+@example(m=25, primes=[], with_two=False, real=True)
+@settings(max_examples=80, deadline=None)
+def test_auxiliary_primes_match_reference(m, primes, with_two, real):
+    # with_two puts 2 in S, which for 8 | m is the special case
+    chosen = ([2] if with_two else []) + [p for p in primes if p != 2]
+    chosen = chosen[: _aux_max_places(m)]
+    S = places(*chosen) + ((INF,) if real else ())
+    assert auxiliary_primes(m, S) == reference_auxiliary_primes(m, S)
+
+
+@pytest.mark.parametrize(
+    "m,S,want",
+    [
+        # the wide and deep construct shapes of perfbench/workloads.py
+        (3, (2, 3, 5, 7, 11, 13), (19, 31, 37, 43, 61, 67)),
+        (4, (2, 3, 5, 7, 11, 13), (17, 19, 23, 29, 31, 37, 41, 53, 89)),
+        (5, (2, 3, 5, 7, 11, "inf"), (31, 41, 61, 71, 101)),
+        (5, (2, 3, 7, 11, 13, 31), (41, 61, 71, 101, 131, 151)),
+        (7, (2, 3, 5, 7, 29, 43), (71, 113, 127, 197, 211, 239)),
+        (8, (3, 5, 7, 11, 13, "inf"), (17, 19, 23, 29, 31, 37, 41, 53, 73, 89, 137, 2)),
+        (9, (2, 3, 5, 7, 11, 13), (19, 31, 37, 43, 61, 67, 73, 109, 127, 181)),
+        (16, (3, 11, 19), (5, 7, 13, 17, 41, 73, 97, 113, 2)),
+        (16, (7, 13, 19), (3, 5, 11, 17, 29, 41, 73, 97, 113, 2)),
+        (16, (3, 5, 7, 11), (13, 17, 19, 29, 37, 41, 73, 89, 97, 113, 257, 2)),
+        (16, (5, 13, 17, 29), (3, 7, 11, 19, 23, 37, 41, 61, 73, 89, 97, 113, 241, 257, 2)),
+        (25, (5, 7, 11, 31), (41, 61, 71, 101, 151, 251, 701)),
+        (27, (5, 7, 19), (13, 31, 37, 43, 73, 109, 163, 271)),
+        (32, (5, 13, "inf"), (3, 7, 11, 17, 37, 41, 97, 257, 2)),
+        (32, (7, 13, "inf"), (3, 5, 17, 41, 97, 193, 2)),
+    ],
+)
+def test_auxiliary_primes_benchmark_shapes(m, S, want):
+    S = tuple(INF if p == "inf" else Place(p) for p in S)
+    assert auxiliary_primes(m, S) == want
+
+
+@pytest.mark.parametrize(
+    "m,S",
+    [
+        (16, (3, 5, 7, 11, 13, 17)),
+        (16, (2, 3, 5, 7, 11, "inf")),
+        (9, (2, 3, 5, 7, 11, 13, 17, 19)),
+        (27, (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)),
+    ],
+)
+def test_auxiliary_primes_polynomial_in_places(m, S):
+    # 2 * m^|S| is 3.4e7 to 4.1e14 here, far beyond a survivor set
+    S = tuple(INF if p == "inf" else Place(p) for p in S)
+    s_primes = {v.prime for v in S if not v.is_real}
+    l, r = prime_power(m)
+    aux = auxiliary_primes(m, S)
+    assert len(set(aux)) == len(aux)
+    for q in aux:
+        assert is_prime(q)
+        if q == 2 and l == 2 and r >= 3:
+            continue  # the forced prime 2
+        assert q not in s_primes and q != l
+        assert math.gcd(m, q - 1) > 1
+
+    # largest gcd(m, q - 1) first: only q with gcd m is nonzero on the
+    # l-torsion swept below, so most vectors fail after one or two primes
+    qs = sorted((q for q in aux if q != 2), key=lambda q: -math.gcd(m, q - 1))
+    basis = p_star_basis(m, S)
+    ranges = [2 if b == -1 else m for b in basis]
+    allowed = allowed_survivors(m, S)
+
+    def check(exps):
+        if all(power_residue(basis, m, exps, q) == 1 for q in qs):
+            assert tuple(exps) in allowed, (m, S, exps)
+
+    rng = random.Random(m * 1000 + len(S))
+    for _ in range(10_000):
+        # l^j * (random vector), sparse or dense
+        scale = l ** rng.randrange(r)
+        width = rng.choice((1, 2, len(basis)))
+        exps = [0] * len(basis)
+        for i in rng.sample(range(len(basis)), width):
+            exps[i] = scale * rng.randrange(ranges[i]) % ranges[i]
+        check(exps)
+    # Exhaustively: a survivor group outside `allowed` has an element of
+    # order l outside it, or (special case, allowed = {0, a0}) an element
+    # y with l * y = a0.  So the l-torsion, and its coset of a0 / 2 when
+    # a0 is there, must contain no survivor outside `allowed`.
+    torsion = [[n // l * c for c in range(l)] for n in ranges]
+    shifts = {tuple(a // 2 for a in vec) for vec in allowed}
+    for shift in shifts:
+        for exps in itertools.product(*torsion):
+            check([(e + t) % n for e, t, n in zip(exps, shift, ranges)])
 
 
 def test_p_star_basis():
@@ -161,6 +345,7 @@ def test_wang_solution_conductor_544():
     assert sol.exponent_achieved == 16
     assert sol.special_case_flag
     assert sol.aux_primes == (3, 5, 17)
+    assert sol.minimised
     assert conductor(sol.character).norm == 544
     got = local_component(sol.character, Place(2))
     assert got == WANG_PSI  # scale-invariant comparison at exponent 16
@@ -180,6 +365,16 @@ def test_wang_unsolvable_at_exponent_eight():
         solve_character(inst, cyc, aux, exponent=8)
     with pytest.raises(NoSolutionBelowCap):
         oracle_minimal(inst, 3000, exponent=8)
+
+
+def test_truncated_minimisation_is_flagged():
+    # m = 16, S = {3, 5, 7, 11}: the solution lattice has more than
+    # _KERNEL_LIMIT elements, so the particular solution comes back as is
+    inst = make_instance(16, [unramified_local(p, 16, t) for p, t in ((3, 1), (5, 3), (7, 0), (11, 5))])
+    sol = construct(inst)
+    assert not sol.minimised
+    for psi in inst.local_characters:
+        assert local_component(sol.character, psi.place) == psi
 
 
 # --- round trip: prescriptions sampled from known characters -----------------
