@@ -67,6 +67,36 @@ def _slice_conductor_exponent(p: int, k: int, exps: tuple[int, ...], m: int) -> 
     return valuation(m // math.gcd(m, t1), 2) + 2
 
 
+def primitive_slots(comp, mu: int) -> list[list[int]]:
+    """Per-generator exponent choices, each ascending, whose product is
+    exactly the exponent-mu characters of (Z/p^k)^* with conductor
+    exponent k, in lex order.
+
+    Generator j of order o takes c * (mu / g), g = gcd(mu, o), 0 <= c < g.
+    For p odd and c != 0 that slot alone gives conductor exponent
+    v_p(g / gcd(g, c)) + 1; mod 2^k, k >= 3, the 5-generator gives
+    v_2(...) + 2 and the sign generator is free.  So c != 0 when k = 1 or
+    p^k = 4; otherwise p^(k-1) (2^(k-2) for p = 2) divides g and p does
+    not divide c.  Mod 2 nothing is primitive: one empty slot.
+    """
+    p, k = comp.prime, comp.exponent
+    if p == 2 and k == 1:
+        return [[]]
+    slots = []
+    for j, o in enumerate(comp.orders):
+        g = math.gcd(mu, o)
+        if k == 1 or (p == 2 and k == 2):
+            keep = range(1, g)
+        elif p == 2 and j == 0:
+            keep = range(g)
+        elif g % p ** (k - 1 if p != 2 else k - 2):
+            keep = ()
+        else:
+            keep = [c for c in range(1, g) if c % p]
+        slots.append([c * (mu // g) for c in keep])
+    return slots
+
+
 def _minimize_unit_part(
     p: int, k: int, exps: tuple[int, ...], m: int
 ) -> tuple[int, tuple[int, ...]]:
@@ -348,16 +378,12 @@ def iter_characters(N: int, exponent: int | None = None, primitive_only: bool = 
     """
     orders = unit_group(N).orders
     mu = exponent if exponent is not None else math.lcm(1, *orders)
-    slots = []
-    for o in orders:
-        g = math.gcd(mu, o)
-        step = mu // g
-        slots.append([c * step for c in range(g)])
+    if primitive_only:
+        slots = [s for c in components(N) for s in primitive_slots(c, mu)]
+    else:
+        slots = [range(0, mu, mu // math.gcd(mu, o)) for o in orders]
     for combo in itertools.product(*slots):
-        chi = DirichletCharacter(N, mu, combo)
-        if primitive_only and conductor(chi).norm != N:
-            continue
-        yield chi
+        yield DirichletCharacter(N, mu, combo)
 
 
 _CHARACTER_KEYS = {"modulus", "exponent_modulus", "exponents"}

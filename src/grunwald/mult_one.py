@@ -24,6 +24,7 @@ from .characters import (
     character_order,
     conductor,
     evaluate,
+    primitive_slots,
     primitivize,
 )
 from .core_arith import components, primes_stream, unit_group
@@ -94,22 +95,6 @@ def _dlog_table(f: int) -> dict[int, tuple[int, ...]]:
     return table
 
 
-def _primitive_slot_values(comp, mu: int) -> list[list[int]]:
-    """Per-generator exponent choices that keep the component primitive."""
-    p, a, orders = comp.prime, comp.exponent, comp.orders
-    if p != 2:
-        o = orders[0]
-        step = mu // o
-        if a == 1:
-            return [[y * step for y in range(1, o)]]
-        return [[y * step for y in range(1, o) if y % p]]
-    if a == 2:
-        return [[mu // 2]]
-    # a >= 3: any sign slot, odd exponent on the second generator
-    half = mu // orders[1]
-    return [[0, mu // 2], [y * half for y in range(1, orders[1], 2)]]
-
-
 def scan_family(max_conductor: int, S=(), epsilon: float = 0.1, cap: int = 10**8):
     """Yield one ScanRecord per primitive character of conductor <= the
     bound, ordered by (conductor, exponent vector).
@@ -128,7 +113,7 @@ def scan_family(max_conductor: int, S=(), epsilon: float = 0.1, cap: int = 10**8
         slots: list[list[int]] = []
         mu = math.lcm(*(o for c in comps for o in c.orders))
         for c in comps:
-            slots.extend(_primitive_slot_values(c, mu))
+            slots.extend(primitive_slots(c, mu))
         table = _dlog_table(f)
         candidates: list[tuple[int, tuple[int, ...]]] = []
         stream = primes_stream()

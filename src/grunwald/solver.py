@@ -33,6 +33,7 @@ from .characters import (
     evaluate_local,
     local_character,
     local_component,
+    primitive_slots,
     primitivize,
 )
 from .core_arith import (
@@ -314,14 +315,6 @@ def _assemble_rows(instance: GrunwaldInstance, M: int, mu: int):
     return rows, rhs
 
 
-def _lval(a: int, l: int, rho: int) -> int:
-    v = 0
-    while v < rho and a % l == 0:
-        a //= l
-        v += 1
-    return v
-
-
 def _echelon(rows, rhs, l: int, rho: int):
     """Row-reduce mod l^rho picking globally minimal-valuation pivots.
 
@@ -347,7 +340,7 @@ def _echelon(rows, rhs, l: int, rho: int):
                 a = A[i][j]
                 if a == 0:
                     continue
-                v = _lval(a, l, rho)
+                v = valuation(a, l)
                 if best is None or v < best[2]:
                     best = (i, j, v)
                     if v == 0:
@@ -598,18 +591,6 @@ def _admissible_conductors(instance: GrunwaldInstance, mu: int, cap: int):
             yield f0 * (lo + i), tuple(sorted(head + tuple(found[i])))
 
 
-def _primitive_slices(comp, mu):
-    slots = []
-    for o in comp.orders:
-        step = mu // math.gcd(mu, o)
-        slots.append([c * step for c in range(math.gcd(mu, o))])
-    out = []
-    for sl in itertools.product(*slots):
-        if _slice_conductor_exponent(comp.prime, comp.exponent, sl, mu) == comp.exponent:
-            out.append(sl)
-    return out
-
-
 def _oracle_pass_pruned(instance, f, mu, prescribed):
     scale = mu // instance.m
     comps = components(f)
@@ -619,10 +600,10 @@ def _oracle_pass_pruned(instance, f, mu, prescribed):
         if psi is not None:
             slots.append([tuple((-scale * t) % mu for t in psi.unit_exponents)])
         else:
-            choices = _primitive_slices(c, mu)
-            if not choices:
+            choices = primitive_slots(c, mu)
+            if not all(choices):
                 return None
-            slots.append(choices)
+            slots.append(itertools.product(*choices))
     # per-prescribed-place uniformizer data over the other components
     checks = []
     for p, psi in sorted(prescribed.items()):

@@ -5,6 +5,7 @@ character is constant on residue classes mod f.  Everything else leans on
 multiplicativity and the global product formula.
 """
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -32,7 +33,8 @@ from grunwald import (
     unramified_local,
     verify_product_formula,
 )
-from grunwald.core_arith import Place, unit_group
+from grunwald.characters import _slice_conductor_exponent, primitive_slots
+from grunwald.core_arith import Place, components, unit_group
 from grunwald.errors import ValidationError
 
 
@@ -83,6 +85,56 @@ def brute_primitive_count(N):
 def test_primitive_count(N):
     got = sum(1 for _ in iter_characters(N, primitive_only=True))
     assert got == brute_primitive_count(N)
+
+
+def reference_primitive_slices(comp, mu):
+    """Every exponent-mu slice of the component, kept when its conductor
+    exponent is exactly the component's (the full product, filtered)."""
+    slots = [range(0, mu, mu // math.gcd(mu, o)) for o in comp.orders]
+    return [
+        sl
+        for sl in itertools.product(*slots)
+        if _slice_conductor_exponent(comp.prime, comp.exponent, sl, mu) == comp.exponent
+    ]
+
+
+def test_primitive_slots_match_conductor_filter():
+    seen = set()
+    for N in range(1, 3001):
+        for c in components(N):
+            if c.prime_power in seen:
+                continue  # the slots depend on p^k and mu only
+            seen.add(c.prime_power)
+            lcm = math.lcm(1, *c.orders)
+            for mu in (1, 2, 3, 4, 5, 8, 9, 16, 25, 27, 32, lcm, 2 * lcm):
+                slots = primitive_slots(c, mu)
+                assert len(slots) == max(1, len(c.orders)), (c, mu)
+                assert all(s == sorted(s) for s in slots), (c, mu)
+                got = list(itertools.product(*slots))
+                assert got == reference_primitive_slices(c, mu), (c.prime_power, mu)
+
+
+def test_primitive_slots_edge_cases():
+    # N = 1: one empty character; 2 and 2 * odd: no primitive character
+    assert [chi.exponents for chi in iter_characters(1, primitive_only=True)] == [()]
+    assert primitive_slots(components(2)[0], 4) == [[]]
+    for N in (2, 6, 10, 30, 90, 398):
+        assert list(iter_characters(N, primitive_only=True)) == []
+    # mu coprime to p - 1 (and to p when k > 1): nothing of exact conductor p^k
+    assert primitive_slots(components(7)[0], 5) == [[]]
+    assert primitive_slots(components(49)[0], 5) == [[]]
+    assert primitive_slots(components(49)[0], 3) == [[]]  # needs 7 | mu
+    assert primitive_slots(components(49)[0], 21) == [[c for c in range(1, 21) if c % 7]]
+    # 2^k, k >= 3: free sign slot, odd exponent on the 5-generator
+    assert primitive_slots(components(16)[0], 4) == [[0, 2], [1, 3]]
+    assert primitive_slots(components(16)[0], 2) == [[0, 1], []]
+
+
+@pytest.mark.parametrize("mu", [None, 2, 3, 4, 6, 8, 9, 12])
+def test_iter_characters_primitive_matches_conductor_filter(mu):
+    for N in range(1, 121):
+        want = [chi for chi in iter_characters(N, mu) if conductor(chi).norm == N]
+        assert list(iter_characters(N, mu, primitive_only=True)) == want, N
 
 
 @given(st.integers(min_value=1, max_value=400), st.data())

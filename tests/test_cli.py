@@ -1,11 +1,13 @@
 """Command-line surface: output records, exit codes, determinism."""
 
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import grunwald
 from grunwald.cli import run
 from grunwald.errors import InternalContradictionError
 
@@ -158,6 +160,13 @@ def test_bad_instance_payload(tmp_path, capsys):
     assert "unknown key 'bogus'" in capsys.readouterr().err
 
 
+def _child_env():
+    """Environment under which a child interpreter imports this grunwald."""
+    root = os.path.dirname(os.path.dirname(grunwald.__file__))
+    path = os.environ.get("PYTHONPATH")
+    return {**os.environ, "PYTHONPATH": root + (os.pathsep + path if path else "")}
+
+
 def test_console_script_deterministic():
     argv = ["special-case", "--field", "Q", "--m", "8", "--S", "2"]
     runs = [
@@ -165,6 +174,7 @@ def test_console_script_deterministic():
             [sys.executable, "-c", "from grunwald.cli import console_main; console_main()", *argv],
             capture_output=True,
             text=True,
+            env=_child_env(),
         )
         for _ in range(2)
     ]
@@ -178,6 +188,7 @@ def test_python_dash_m_entry_point():
         [sys.executable, "-m", "grunwald", "special-case", "--field", "Q", "--m", "8", "--S", "2"],
         capture_output=True,
         text=True,
+        env=_child_env(),
     )
     assert ok.returncode == 0
     assert ok.stdout.splitlines() == ["occurs=true", "s=2", "a0=16", "S0=2"]
@@ -185,6 +196,7 @@ def test_python_dash_m_entry_point():
         [sys.executable, "-m", "grunwald", "powres", "--p", "4", "--l", "3"],
         capture_output=True,
         text=True,
+        env=_child_env(),
     )
     assert bad.returncode == 2
     assert bad.stderr.startswith("error: ")

@@ -86,7 +86,8 @@ def test_scan_counts_and_primitivity():
     for rec in records:
         by_f.setdefault(rec.conductor, []).append(rec)
     for f in range(1, 61):
-        want = sum(1 for _ in iter_characters(f, primitive_only=True)) if f > 2 and f % 4 != 2 else 0
+        # explicit conductor filter, independent of the scan's slot rule
+        want = sum(1 for chi in iter_characters(f) if conductor(chi).norm == f) if f > 2 and f % 4 != 2 else 0
         assert len(by_f.get(f, [])) == want, f
     # all witnesses validate against the BSGS evaluation route
     for rec in records:
