@@ -1,0 +1,75 @@
+#!/usr/bin/env python3
+"""Run the benchmark in two trees, pair by pair, and count the wins.
+
+    python3 scripts/bench_pairs.py BASE CHANGE --workload construct --seed 1 --pairs 10 --seconds 28
+
+BASE and CHANGE are checkouts of the repository.  Each pair runs
+`perfbench/run.py` once in each tree, alternating which tree goes first.
+For every end-to-end metric it prints each side's median and quartiles
+and the number of pairs CHANGE won (better in the direction BENCHMARK.json
+gives; ties count for neither side), and whether that meets the gain rule:
+at least nine tenths of the pairs won and the medians further apart than
+BASE's interquartile range.  Standard library only.
+"""
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+
+
+def run_once(tree, args):
+    cmd = [sys.executable, "perfbench/run.py", "--workload", args.workload,
+           "--seed", str(args.seed), "--seconds", str(args.seconds)]
+    proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
+    lines = proc.stdout.splitlines()
+    if proc.returncode != 0 or not lines:
+        sys.exit(f"error: {' '.join(cmd)} in {tree} exited {proc.returncode}\n{proc.stderr}")
+    result = json.loads(lines[-1])
+    values = {name: m["value"] for name, m in result["metrics"].items()}
+    print(f"  {tree}: failed {result['failed']}/{result['attempted']} "
+          + " ".join(f"{k}={v:.6g}" for k, v in values.items()), file=sys.stderr, flush=True)
+    return values
+
+
+def quartiles(values):
+    if len(values) < 2:
+        return values * 3
+    return statistics.quantiles(values, n=4, method="inclusive")
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("base")
+    parser.add_argument("change")
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--seed", type=int, required=True)
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seconds", type=float, default=28)
+    args = parser.parse_args()
+    with open(os.path.join(args.change, "BENCHMARK.json"), encoding="utf-8") as handle:
+        better = {m["name"]: m["better"] for m in json.load(handle)["end_to_end"]}
+
+    runs = ([], [])  # base, change
+    for i in range(args.pairs):
+        print(f"pair {i + 1}/{args.pairs}", file=sys.stderr, flush=True)
+        for side in (0, 1) if i % 2 == 0 else (1, 0):
+            runs[side].append(run_once((args.base, args.change)[side], args))
+
+    print(f"{args.workload} seed {args.seed}, {args.pairs} pairs: median [q1, q3] base -> change")
+    for name, direction in better.items():
+        base = [r[name] for r in runs[0]]
+        change = [r[name] for r in runs[1]]
+        sign = 1 if direction == "lower" else -1
+        wins = sum(sign * (b - c) > 0 for b, c in zip(base, change))
+        bq, cq = quartiles(base), quartiles(change)
+        gain = wins >= 0.9 * args.pairs and sign * (bq[1] - cq[1]) > bq[2] - bq[0]
+        print(f"{name}: {bq[1]:.6g} [{bq[0]:.6g}, {bq[2]:.6g}] -> {cq[1]:.6g} [{cq[0]:.6g}, {cq[2]:.6g}]"
+              f"  won {wins}/{args.pairs}{'  gain' if gain else ''}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

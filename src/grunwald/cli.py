@@ -169,6 +169,9 @@ def _cmd_powres(args) -> int:
 
 def _cmd_report(args) -> int:
     instance = _load_instance(args.instance)
+    # checked before construct, so that bad input prints no solution lines
+    if args.epsilon <= 0:
+        raise ValidationError("epsilon must be positive")
     solution = construct(instance)
     _print_solution(solution)
     report = bound_report(instance, solution, args.epsilon)

@@ -17,6 +17,11 @@ from .errors import InternalContradictionError, NonUnitError, ValidationError
 
 FACTOR_LIMIT = 1 << 96
 
+# Entries kept by the factor and components caches.  Every benchmark
+# workload stays below 1000 entries; the bound keeps a long-running caller
+# from growing them without limit.
+_CACHE_SIZE = 1 << 14
+
 # Miller-Rabin witnesses.  The first twelve primes are a proven deterministic
 # set only below psi_12 ~ 3.18e23, the first thirteen (so these eighteen) only
 # below psi_13 ~ 3.3e24 (Sorenson & Webster, Math. Comp. 86 (2017)).  Above
@@ -154,7 +159,7 @@ class FactoredInteger:
         return "*".join(f"{p}^{e}" if e > 1 else str(p) for p, e in self.factors)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def factor(n: int) -> FactoredInteger:
     if not 1 <= n <= FACTOR_LIMIT:
         raise ValidationError(f"factor target out of range: {n}")
@@ -266,7 +271,7 @@ def _primitive_root_mod_pk(p: int, k: int) -> int:
         g += 1
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def components(N: int) -> tuple[UnitComponent, ...]:
     if not 1 <= N <= FACTOR_LIMIT:
         raise ValidationError(f"modulus out of range: {N}")

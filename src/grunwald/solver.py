@@ -409,41 +409,68 @@ def _solution_lattice(A, b, pivots, used_cols, l, rho, n):
 
 
 def _minimal_candidate(part, basis, ranges, M, mu):
+    """(x, True) for the lattice point x = part + sum c_i basis_i,
+    0 <= c_i < ranges_i, of least (conductor norm, exponent vector); or
+    (part, False) when the lattice has more than _KERNEL_LIMIT points.
+
+    Depth-first branch and bound.  The norm is the product over the CRT
+    components of M of p^(e_p) >= 1, and a component's factor is final once
+    the last basis vector touching its coordinates is fixed; so the product
+    of the finished factors bounds every completion from below, and a
+    subtree is skipped only when it exceeds the best norm (ties are walked,
+    keeping the exponent-vector tiebreak).  Densest basis vectors go first,
+    which finishes components early.  The visiting order does not change
+    the point set, hence not the result.
+    """
     comps = components(M)
+    if math.prod(ranges, start=1) > _KERNEL_LIMIT:
+        return tuple(part), False
     tables: list[dict] = [{} for _ in comps]
 
-    def norm_of(x):
-        total = 1
-        for c, tab in zip(comps, tables):
-            sl = tuple(x[c.offset : c.offset + len(c.orders)])
-            val = tab.get(sl)
-            if val is None:
-                val = c.prime ** _slice_conductor_exponent(c.prime, c.exponent, sl, mu)
-                tab[sl] = val
-            total *= val
-        return total
+    def factor_of(k, x):
+        c = comps[k]
+        sl = tuple(x[c.offset : c.offset + len(c.orders)])
+        val = tables[k].get(sl)
+        if val is None:
+            val = c.prime ** _slice_conductor_exponent(c.prime, c.exponent, sl, mu)
+            tables[k][sl] = val
+        return val
 
-    total = math.prod(ranges, start=1)
-    if total > _KERNEL_LIMIT:
-        return tuple(part), False
+    steps = sorted(
+        ((r, [(j, v) for j, v in enumerate(vec) if v]) for r, vec in zip(ranges, basis)),
+        key=lambda step: -len(step[1]),
+    )
+    owner = [k for k, c in enumerate(comps) for _ in c.orders]
+    last = [-1] * len(comps)
+    for d, (_, touched) in enumerate(steps):
+        for j, _ in touched:
+            last[owner[j]] = d
+    depth = len(steps)
+    finished = [[k for k in range(len(comps)) if last[k] == d] for d in range(depth)]
     best = None
-    depth = len(basis)
 
-    def rec(d, x):
+    def rec(d, x, bound):
         nonlocal best
         if d == depth:
-            score = (norm_of(x), tuple(x))
+            score = (bound, tuple(x))
             if best is None or score < best:
                 best = score
             return
-        vec = basis[d]
+        r, touched = steps[d]
+        done = finished[d]
         y = list(x)
-        for c in range(ranges[d]):
-            rec(d + 1, y)
-            if c + 1 < ranges[d]:
-                y = [(a + v) % mu for a, v in zip(y, vec)]
+        for c in range(r):
+            if c:
+                for j, v in touched:
+                    y[j] = (y[j] + v) % mu
+            norm = bound
+            for k in done:
+                norm *= factor_of(k, y)
+            if best is None or norm <= best[0]:
+                rec(d + 1, y, norm)
 
-    rec(0, list(part))
+    start = list(part)
+    rec(0, start, math.prod((factor_of(k, start) for k in range(len(comps)) if last[k] < 0), start=1))
     return best[1], True
 
 

@@ -71,6 +71,14 @@ def test_report_contains_bound_fields(capsys, wang_file):
     assert {"e", "delta", "delta_prime", "e1", "selmer_rank", "log_shape", "shape_ratio"} <= keys
 
 
+def test_report_bad_epsilon_prints_nothing(capsys, wang_file):
+    assert run(["report", "--instance", wang_file, "--epsilon", "0"]) == 2
+    assert run(["report", "--instance", wang_file, "--epsilon", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: epsilon must be positive"] * 2
+
+
 def test_least_prime(capsys):
     assert run(["least-prime", "--modulus", "5", "--exponents", "2"]) == 0
     assert lines(capsys) == ["prime=2", "norm=2", "value_exponent=2"]

@@ -38,6 +38,7 @@ from grunwald import (
     special_case,
     unramified_local,
 )
+from grunwald.characters import _slice_conductor_exponent
 from grunwald.core_arith import (
     Place,
     components,
@@ -52,7 +53,15 @@ from grunwald.errors import (
     SearchCapError,
     ValidationError,
 )
-from grunwald.solver import _SIEVE_BLOCK, _admissible_conductors
+from grunwald.solver import (
+    _KERNEL_LIMIT,
+    _SIEVE_BLOCK,
+    _admissible_conductors,
+    _assemble_rows,
+    _echelon,
+    _minimal_candidate,
+    _solution_lattice,
+)
 
 INF = Place(None)
 
@@ -375,6 +384,111 @@ def test_truncated_minimisation_is_flagged():
     assert not sol.minimised
     for psi in inst.local_characters:
         assert local_component(sol.character, psi.place) == psi
+
+
+# --- least-conductor search over the solution lattice ------------------------
+
+def reference_minimal_candidate(part, basis, ranges, M, mu):
+    """Exhaustive walk: the norm of every lattice point, least
+    (norm, exponent vector) kept."""
+    comps = components(M)
+    tables: list[dict] = [{} for _ in comps]
+
+    def norm_of(x):
+        total = 1
+        for c, tab in zip(comps, tables):
+            sl = tuple(x[c.offset : c.offset + len(c.orders)])
+            val = tab.get(sl)
+            if val is None:
+                val = c.prime ** _slice_conductor_exponent(c.prime, c.exponent, sl, mu)
+                tab[sl] = val
+            total *= val
+        return total
+
+    total = math.prod(ranges, start=1)
+    if total > _KERNEL_LIMIT:
+        return tuple(part), False
+    best = None
+    depth = len(basis)
+
+    def rec(d, x):
+        nonlocal best
+        if d == depth:
+            score = (norm_of(x), tuple(x))
+            if best is None or score < best:
+                best = score
+            return
+        vec = basis[d]
+        y = list(x)
+        for c in range(ranges[d]):
+            rec(d + 1, y)
+            if c + 1 < ranges[d]:
+                y = [(a + v) % mu for a, v in zip(y, vec)]
+
+    rec(0, list(part))
+    return best[1], True
+
+
+@st.composite
+def synthetic_lattices(draw):
+    """(part, basis, ranges, M, mu): M a product of small prime powers, each
+    basis vector supported on a random set of its CRT components (possibly
+    none), ranges l^v with product <= 2^12."""
+    l, r = draw(st.sampled_from([(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3), (5, 1), (5, 2), (7, 1)]))
+    mu = l**r
+    M = 1
+    for p, top in ((2, 5), (3, 3), (5, 2), (7, 2), (11, 1), (13, 1), (17, 1)):
+        M *= p ** draw(st.integers(min_value=0, max_value=top))
+    comps = components(M)
+    n = sum(len(c.orders) for c in comps)
+    coord = st.integers(min_value=0, max_value=mu - 1)
+    part = draw(st.lists(coord, min_size=n, max_size=n))
+    basis, ranges, points = [], [], 1
+    for _ in range(draw(st.integers(min_value=0, max_value=8))):
+        v = draw(st.integers(min_value=1, max_value=r))
+        if points * l**v > 1 << 12:
+            break
+        points *= l**v
+        support = draw(st.sets(st.sampled_from(range(len(comps))))) if comps else set()
+        vec = [0] * n
+        for k in support:
+            for j in range(comps[k].offset, comps[k].offset + len(comps[k].orders)):
+                vec[j] = draw(coord)
+        basis.append(vec)
+        ranges.append(l**v)
+    return part, basis, ranges, M, mu
+
+
+@given(synthetic_lattices())
+# no basis at all; a zero vector and a component (7) nothing touches
+@example(((3, 1, 2), [], [], 16 * 7, 4))
+@example(((3, 1, 2), [[0, 0, 0], [2, 0, 0]], [4, 2], 16 * 7, 4))
+# every point has norm 16; the smaller exponent vector is visited second
+@example(((2, 1), [[2, 0]], [2], 16, 4))
+@example(((1, 1, 2), [[0, 1, 0], [1, 0, 0], [0, 0, 1]], [8, 2, 8], 32 * 9, 8))
+@settings(max_examples=150, deadline=None)
+def test_minimal_candidate_matches_exhaustive(lattice):
+    assert _minimal_candidate(*lattice) == reference_minimal_candidate(*lattice)
+
+
+def test_minimal_candidate_deep_lattice():
+    # the 3^10-point lattice of an m = 27 instance at S = {5, 7, 19}
+    rng = random.Random(27)
+    chars = [
+        unramified_local(5, 27, rng.randrange(27)),
+        local_character(Place(7), 27, 1, (9 * rng.randrange(1, 3),), rng.randrange(27)),
+        local_character(Place(19), 27, 1, (3 * rng.randrange(1, 9),), rng.randrange(27)),
+    ]
+    inst = make_instance(27, chars)
+    cycle = build_cycle(inst, auxiliary_primes(27, set(inst.places)))
+    M = cycle.finite_part.value
+    rows, rhs = _assemble_rows(inst, M, 27)
+    A, b, pivots, used = _echelon(rows, rhs, 3, 3)
+    part, basis, ranges = _solution_lattice(A, b, pivots, used, 3, 3, len(rows[0]))
+    assert math.prod(ranges) == 3**10
+    got = _minimal_candidate(part, basis, ranges, M, 27)
+    assert got == reference_minimal_candidate(part, basis, ranges, M, 27)
+    assert got[1]
 
 
 # --- round trip: prescriptions sampled from known characters -----------------
