@@ -5,11 +5,14 @@
 
 BASE and CHANGE are checkouts of the repository.  Each pair runs
 `perfbench/run.py` once in each tree, alternating which tree goes first.
-For every end-to-end metric it prints each side's median and quartiles
-and the number of pairs CHANGE won (better in the direction BENCHMARK.json
-gives; ties count for neither side), and whether that meets the gain rule:
-at least nine tenths of the pairs won and the medians further apart than
-BASE's interquartile range.  Standard library only.
+`--workload all` runs every workload in each run and groups the output by
+workload.  For every end-to-end metric it prints each side's median and
+quartiles and the number of pairs CHANGE won (better in the direction
+BENCHMARK.json gives; ties count for neither side), and whether that
+meets the gain rule: at least nine tenths of the pairs won and the
+medians further apart than BASE's interquartile range.  `worse` marks a
+metric whose CHANGE median is worse than BASE's by more than its
+BENCHMARK.json bound, a share of BASE's median.  Standard library only.
 """
 
 import argparse
@@ -50,7 +53,7 @@ def main():
     parser.add_argument("--seconds", type=float, default=28)
     args = parser.parse_args()
     with open(os.path.join(args.change, "BENCHMARK.json"), encoding="utf-8") as handle:
-        better = {m["name"]: m["better"] for m in json.load(handle)["end_to_end"]}
+        spec = {m["name"]: m for m in json.load(handle)["end_to_end"]}
 
     runs = ([], [])  # base, change
     for i in range(args.pairs):
@@ -59,15 +62,23 @@ def main():
             runs[side].append(run_once((args.base, args.change)[side], args))
 
     print(f"{args.workload} seed {args.seed}, {args.pairs} pairs: median [q1, q3] base -> change")
-    for name, direction in better.items():
+    shown = None
+    for name in runs[0][0]:
+        # `run.py --workload all` names a metric <workload>.<metric>
+        workload, _, metric = name.rpartition(".")
+        if workload != shown:
+            shown = workload
+            if workload:
+                print(f"[{workload}]")
+        sign = 1 if spec[metric]["better"] == "lower" else -1
         base = [r[name] for r in runs[0]]
         change = [r[name] for r in runs[1]]
-        sign = 1 if direction == "lower" else -1
         wins = sum(sign * (b - c) > 0 for b, c in zip(base, change))
         bq, cq = quartiles(base), quartiles(change)
         gain = wins >= 0.9 * args.pairs and sign * (bq[1] - cq[1]) > bq[2] - bq[0]
-        print(f"{name}: {bq[1]:.6g} [{bq[0]:.6g}, {bq[2]:.6g}] -> {cq[1]:.6g} [{cq[0]:.6g}, {cq[2]:.6g}]"
-              f"  won {wins}/{args.pairs}{'  gain' if gain else ''}")
+        worse = sign * (cq[1] - bq[1]) > spec[metric]["bound"] * abs(bq[1])
+        print(f"{metric}: {bq[1]:.6g} [{bq[0]:.6g}, {bq[2]:.6g}] -> {cq[1]:.6g} [{cq[0]:.6g}, {cq[2]:.6g}]"
+              f"  won {wins}/{args.pairs}{'  gain' if gain else ''}{'  worse' if worse else ''}")
     return 0
 
 

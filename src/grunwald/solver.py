@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -543,7 +544,18 @@ def construct(instance: GrunwaldInstance) -> GrunwaldSolution:
     return solve_character(instance, cycle, aux_primes=aux)
 
 
+_SIEVE_FIRST_BLOCK = 1 << 6
 _SIEVE_BLOCK = 1 << 12
+
+
+def _prescribed_head(instance: GrunwaldInstance) -> tuple[tuple[int, int], ...]:
+    """(p, k) for every prescribed prime with conductor exponent k > 0:
+    the factorization of F0."""
+    return tuple(
+        (psi.place.prime, psi.conductor_exponent)
+        for psi in instance.local_characters
+        if not psi.place.is_real and psi.conductor_exponent
+    )
 
 
 def _admissible_conductors(instance: GrunwaldInstance, mu: int, cap: int):
@@ -554,15 +566,13 @@ def _admissible_conductors(instance: GrunwaldInstance, mu: int, cap: int):
     f = F0 * g: F0 fixes the prescribed conductor exponents, g is coprime
     to S and built from q^1 (q odd, gcd(mu, q-1) > 1), l^a (l odd,
     2 <= a <= r+1) and 2^a (mu even, 2 <= a <= r+2), where mu = l^r.
-    g is factored by a segmented sieve over blocks of _SIEVE_BLOCK.
+    g is factored by a segmented sieve whose blocks start _SIEVE_FIRST_BLOCK
+    wide and double up to _SIEVE_BLOCK, so a search that stops early
+    sieves little past where it stops.
     """
     l_mu, r_mu = prime_power(mu)
     s_primes = set(instance.finite_primes)
-    head = tuple(
-        (psi.place.prime, psi.conductor_exponent)
-        for psi in instance.local_characters
-        if not psi.place.is_real and psi.conductor_exponent
-    )
+    head = _prescribed_head(instance)
     f0 = math.prod(p**k for p, k in head)
 
     def exponent_range(q):
@@ -578,8 +588,9 @@ def _admissible_conductors(instance: GrunwaldInstance, mu: int, cap: int):
     stream = primes_stream()
     sieve_primes: list[tuple[int, tuple[int, int] | None]] = []
     pending = next(stream)
-    for lo in range(1, limit + 1, _SIEVE_BLOCK):
-        hi = min(lo + _SIEVE_BLOCK, limit + 1)
+    lo, width = 1, _SIEVE_FIRST_BLOCK
+    while lo <= limit:
+        hi = min(lo + width, limit + 1)
         while pending * pending < hi:
             sieve_primes.append((pending, exponent_range(pending)))
             pending = next(stream)
@@ -616,58 +627,81 @@ def _admissible_conductors(instance: GrunwaldInstance, mu: int, cap: int):
                     continue
                 found[i].append((v, 1))
             yield f0 * (lo + i), tuple(sorted(head + tuple(found[i])))
+        lo, width = hi, min(2 * width, _SIEVE_BLOCK)
 
 
-def _oracle_pass_pruned(instance, f, mu, prescribed):
+def _prescribed_block(instance: GrunwaldInstance, mu: int):
+    """The F0 part of every oracle pass, computed once per search.
+
+    Returns (fixed, targets).  fixed maps each ramified prescribed prime p
+    to its only possible unit slot, (-scale * t) mod mu.  targets has one
+    (x, want) per linear check, the prescribed finite primes in order and
+    then the real place: the check asks that the exponent vector dotted
+    with the discrete logs of x (p, resp. -1) be the prescribed uniformizer
+    value (resp. sign), and want is that value minus what the fixed slots
+    contribute.  F0's components carry the same generators in every
+    f = F0 * g, since dlog_units(p^k, x) depends only on p^k, so these
+    constants hold for every f.
+    """
     scale = mu // instance.m
-    comps = components(f)
-    slots = []
-    for c in comps:
-        psi = prescribed.get(c.prime)
-        if psi is not None:
-            slots.append([tuple((-scale * t) % mu for t in psi.unit_exponents)])
-        else:
-            choices = primitive_slots(c, mu)
-            if not all(choices):
-                return None
-            slots.append(itertools.product(*choices))
-    # per-prescribed-place uniformizer data over the other components
-    checks = []
-    for p, psi in sorted(prescribed.items()):
-        coeffs = [
-            dlog_units(c.prime_power, p) if c.prime != p else None for c in comps
-        ]
-        checks.append((coeffs, scale * psi.uniformizer_exponent % mu))
-    sign_check = None
+    head = _prescribed_head(instance)
+    by_prime = {psi.place.prime: psi for psi in instance.local_characters}
+    fixed = {
+        p: tuple((-scale * t) % mu for t in by_prime[p].unit_exponents) for p, _ in head
+    }
+    targets = []
     for psi in instance.local_characters:
         if psi.place.is_real:
-            coeffs = [dlog_units(c.prime_power, c.prime_power - 1) for c in comps]
-            sign_check = (coeffs, psi.sign_exponent * (mu // 2) % mu)
-    for combo in itertools.product(*slots):
-        ok = True
-        for coeffs, want in checks:
-            total = 0
-            for cv, sl in zip(coeffs, combo):
-                if cv is not None:
-                    total += sum(e * t for e, t in zip(cv, sl))
-            if total % mu != want:
-                ok = False
-                break
-        if ok and sign_check is not None:
-            coeffs, want = sign_check
-            total = sum(
-                sum(e * t for e, t in zip(cv, sl)) for cv, sl in zip(coeffs, combo)
-            )
-            if total % mu != want:
-                ok = False
-        if not ok:
+            x, want = -1, psi.sign_exponent * (mu // 2)
+        else:
+            x, want = psi.place.prime, scale * psi.uniformizer_exponent
+        for p, k in head:
+            if p != x:
+                want -= sum(e * t for e, t in zip(dlog_units(p**k, x), fixed[p]))
+        targets.append((x, want % mu))
+    return fixed, targets
+
+
+def _oracle_pass_pruned(instance, f, mu, block):
+    """The least exponent vector (lexicographic) of a character of exact
+    conductor f with the prescribed local data, as a character, or None.
+
+    Only the components of g = f / F0 are enumerated, against the targets
+    of the prescribed block; the fixed F0 slots are spliced back in
+    component order before the final local_component check.
+    """
+    fixed, targets = block
+    vec: list[int] = []
+    free: list[int] = []  # positions in vec of g's generators
+    choices: list[list[int]] = []
+    rows: list[list[int]] = [[] for _ in targets]
+    for c in components(f):
+        sl = fixed.get(c.prime)
+        if sl is not None:
+            vec.extend(sl)
             continue
-        chi = DirichletCharacter(f, mu, tuple(t for sl in combo for t in sl))
-        if all(
-            local_component(chi, psi.place) == psi
-            for psi in instance.local_characters
-        ):
-            return chi
+        slots = primitive_slots(c, mu)
+        if not all(slots):
+            return None
+        free.extend(range(len(vec), len(vec) + len(slots)))
+        vec.extend([0] * len(slots))
+        choices.extend(slots)
+        for row, (x, _) in zip(rows, targets):
+            row.extend(dlog_units(c.prime_power, x))
+    checks = [(row, want) for row, (_, want) in zip(rows, targets)]
+    for combo in itertools.product(*choices):
+        for row, want in checks:
+            if sum(map(operator.mul, row, combo)) % mu != want:
+                break
+        else:
+            for j, t in zip(free, combo):
+                vec[j] = t
+            chi = DirichletCharacter(f, mu, tuple(vec))
+            if all(
+                local_component(chi, psi.place) == psi
+                for psi in instance.local_characters
+            ):
+                return chi
     return None
 
 
@@ -681,7 +715,10 @@ def oracle_minimal(
 
     Only the admissible conductors F0 * g are visited (see
     _admissible_conductors); every character of exact conductor f with
-    the prescribed unit parts is tried on each.
+    the prescribed unit parts is tried on each.  The F0 part of each test
+    is fixed once per search (see _prescribed_block); since F0's slots are
+    single-valued, lexicographic order over g's slots is the order over
+    the whole vector.
     """
     _require_rational(instance)
     if cap < 1:
@@ -695,13 +732,9 @@ def oracle_minimal(
         mu = exponent
         if mu % m:
             raise ValidationError("exponent must be a multiple of the instance exponent")
-    prescribed = {
-        psi.place.prime: psi
-        for psi in instance.local_characters
-        if not psi.place.is_real
-    }
+    block = _prescribed_block(instance, mu)
     for f, _ in _admissible_conductors(instance, mu, cap):
-        chi = _oracle_pass_pruned(instance, f, mu, prescribed)
+        chi = _oracle_pass_pruned(instance, f, mu, block)
         if chi is not None:
             return GrunwaldSolution(chi, mu, report.occurs, (), conductor(chi))
     raise NoSolutionBelowCap(f"no exponent-{mu} solution with conductor <= {cap}")

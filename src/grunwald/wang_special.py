@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .core_arith import (
     Place,
@@ -102,6 +103,26 @@ def _power_coords(x0: Fraction, x1: Fraction, d: int, n: int):
     return a, b
 
 
+_FIELD_CACHE_SIZE = 64
+
+
+@lru_cache(maxsize=_FIELD_CACHE_SIZE)
+def _field_data(field: FieldDescriptor):
+    """The part of special_case that depends on the field alone: s, the
+    critical elements, condition (b), and S0 (the places above 2 where
+    every critical element stays locally nonsquare)."""
+    s = s_invariant(field)
+    d = field.d
+    elements = _critical_elements(field, s)
+    cond_b = all(not is_square_in_quadratic_field(x0, x1, d) for x0, x1 in elements)
+    profiles = [two_adic_square_profile(x0, x1, d) for x0, x1 in elements]
+    offending = any(
+        all(not prof[i] for prof in profiles) for i in range(len(profiles[0]))
+    )
+    S0 = frozenset({Place.finite(2)}) if offending else frozenset()
+    return s, elements, cond_b, S0
+
+
 def special_case(field: FieldDescriptor, m: int, S) -> SpecialCaseReport:
     """Decide whether exponent m is special for the place set S.
 
@@ -111,19 +132,9 @@ def special_case(field: FieldDescriptor, m: int, S) -> SpecialCaseReport:
     """
     if m < 1:
         raise ValidationError(f"bad exponent {m}")
-    S = frozenset(S)
-    s = s_invariant(field)
-    d = field.d
-    elements = _critical_elements(field, s)
-
-    cond_b = all(not is_square_in_quadratic_field(x0, x1, d) for x0, x1 in elements)
+    s, elements, cond_b, S0 = _field_data(field)
     cond_c = m % 2 == 0 and valuation(m, 2) > s
-    profiles = [two_adic_square_profile(x0, x1, d) for x0, x1 in elements]
-    offending = any(
-        all(not prof[i] for prof in profiles) for i in range(len(profiles[0]))
-    )
-    S0 = frozenset({Place.finite(2)}) if offending else frozenset()
-    cond_d = S0 <= S
+    cond_d = S0 <= frozenset(S)
 
     failed = None
     if not cond_b:
@@ -135,7 +146,7 @@ def special_case(field: FieldDescriptor, m: int, S) -> SpecialCaseReport:
     if failed is not None:
         return SpecialCaseReport(False, s, None, None, S0, failed)
 
-    x0, x1 = _power_coords(*elements[1], d, m // 2)
+    x0, x1 = _power_coords(*elements[1], field.d, m // 2)
     if x1 == 0:
         return SpecialCaseReport(True, s, x0, None, S0, None)
     return SpecialCaseReport(True, s, None, (x0, x1), S0, None)

@@ -32,7 +32,6 @@ from grunwald import (
     oracle_minimal,
     ratio_c_decile_maxima,
     scan_family,
-    sign_local,
     special_case,
     unit_group,
     unramified_local,
@@ -40,6 +39,8 @@ from grunwald import (
 )
 from grunwald.core_arith import Place, factor, primes_stream
 from grunwald.errors import NoSolutionBelowCap
+
+from bounds_matrix import prescriptions  # the acceptance matrix's local characters
 
 Q = FieldDescriptor(1)
 INF = Place(None)
@@ -144,28 +145,6 @@ def test_product_formula_bulk():
     )
 
 
-def matrix_prescriptions(m, S):
-    chars = []
-    for p in sorted(p for p in S if p != "inf"):
-        g = math.gcd(m, p - 1)
-        if p == 2 and m % 2 == 0:
-            chars.append(local_character(Place(2), m, conductor_exponent=2, unit_exponents=(m // 2,)))
-        elif m % p == 0 and p > 2:
-            chars.append(
-                local_character(
-                    Place(p), m, conductor_exponent=2,
-                    unit_exponents=(m // math.gcd(m, (p - 1) * p),),
-                )
-            )
-        elif g > 1:
-            chars.append(local_character(Place(p), m, conductor_exponent=1, unit_exponents=(m // g,)))
-        else:
-            chars.append(unramified_local(p, m, 1))
-    if "inf" in S:
-        chars.append(sign_local(m, 1 if m % 2 == 0 else 0))
-    return chars
-
-
 def test_solver_matrix_bounds():
     started = time.monotonic()
     base = [2, 3, 5, 7, "inf"]
@@ -175,7 +154,7 @@ def test_solver_matrix_bounds():
     for m, (l, r) in sorted(lr.items()):
         for k in range(len(base) + 1):
             for S in itertools.combinations(base, k):
-                inst = make_instance(m, matrix_prescriptions(m, set(S)))
+                inst = make_instance(m, prescriptions(m, set(S)))
                 sol = construct(inst)
                 n = conductor(sol.character).norm
 

@@ -56,6 +56,7 @@ from grunwald.errors import (
 from grunwald.solver import (
     _KERNEL_LIMIT,
     _SIEVE_BLOCK,
+    _SIEVE_FIRST_BLOCK,
     _admissible_conductors,
     _assemble_rows,
     _echelon,
@@ -615,6 +616,57 @@ def test_oracle_prune_matches_full_enumeration():
         assert oracle_minimal(inst, cap, exponent=exponent).character == want
 
 
+# moduli per exponent whose characters ramify at two or more primes
+MULTI_PRIME_MODULI = {
+    2: (15, 20, 21, 24, 35, 40, 56, 105),
+    3: (63, 91, 117, 133),
+    4: (15, 20, 39, 40, 52, 65, 80),
+    8: (48, 51, 68, 85, 96),
+    9: (133, 171, 189),
+}
+
+
+@st.composite
+def multi_prime_instances(draw):
+    """(instance, cap, exponent): the local components of a character mod N
+    at a prime where it ramifies and one or two more primes (ramified or
+    not), optionally the real place; an unramified uniformizer value may be
+    redrawn, so that no solution need lie below the cap."""
+    m = draw(st.sampled_from(sorted(MULTI_PRIME_MODULI)))
+    N = draw(st.sampled_from(MULTI_PRIME_MODULI[m]))
+    chars = [chi for chi in iter_characters(N, m) if conductor(chi).norm > 1]
+    chi = draw(st.sampled_from(chars))
+    ramified = [p for p, _ in conductor(chi).finite_part.factors]
+    first = draw(st.sampled_from(ramified))
+    pool = sorted(({p for p, _ in factor(N).factors} | {2, 3, 5, 7, 11, 13}) - {first})
+    others = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=2, unique=True))
+    chosen = [Place(p) for p in sorted([first] + others)]
+    if draw(st.booleans()):
+        chosen.append(INF)
+    local = []
+    for v in chosen:
+        psi = local_component(chi, v)
+        if not v.is_real and psi.conductor_exponent == 0 and draw(st.booleans()):
+            psi = unramified_local(v.prime, m, draw(st.integers(0, m - 1)))
+        local.append(psi)
+    exponent = draw(st.sampled_from([None, 2 * m] if m % 2 == 0 else [None]))
+    return make_instance(m, local), N, exponent
+
+
+@given(multi_prime_instances())
+@settings(max_examples=40, deadline=None)
+def test_oracle_matches_full_enumeration_multi_prime(case):
+    # several prescribed primes, one of them ramified: the fixed F0 slots
+    # and their share of every check must be placed where the full vector has them
+    inst, cap, exponent = case
+    want = full_oracle(inst, cap, exponent)
+    if want is None:
+        with pytest.raises(NoSolutionBelowCap):
+            oracle_minimal(inst, cap, exponent=exponent)
+    else:
+        assert oracle_minimal(inst, cap, exponent=exponent).character == want
+
+
 # --- the admissible conductors against the reference filter -----------------
 
 def admissible_instance(m, spec):
@@ -684,17 +736,39 @@ def test_admissible_conductors_match_reference_filter(m, spec, doubled, cap_kind
     assert_admissible_matches(inst, 2 * m if doubled and m % 2 == 0 else m, cap)
 
 
+def sieve_block_ends():
+    """The last g of each growing sieve block: 64, 192, 448, ..., 8128."""
+    ends, g, width = [], 0, _SIEVE_FIRST_BLOCK
+    while width <= _SIEVE_BLOCK:
+        g += width
+        ends.append(g)
+        width *= 2
+    return ends
+
+
 @pytest.mark.parametrize(
     "m,spec",
     [
         (4, [(3, 0, 1), (None, 0, 1)]),  # F0 = 1: several sieve blocks
         (3, []),
+        (4, [(5, 1, 1), (None, 0, 1)]),  # F0 = 5
     ],
 )
 def test_admissible_conductors_span_sieve_blocks(m, spec):
+    # past the ramp, and at every ramp boundary +-1 (a block boundary
+    # skipped or repeated shows there)
     inst = admissible_instance(m, spec)
-    assert f0_of(inst) == 1
-    assert_admissible_matches(inst, m, 3 * _SIEVE_BLOCK + 17)
+    f0 = f0_of(inst)
+    top = f0 * (3 * _SIEVE_BLOCK + 17)
+    assert top > f0 * sieve_block_ends()[-1] + _SIEVE_BLOCK
+    # reference_filter demands the prescribed exponents, so F0 divides f
+    want = [(f, factor(f).factors) for f in range(f0, top + 1, f0)]
+    want = [(f, fac) for f, fac in want if reference_filter(inst, fac, m)]
+    assert list(_admissible_conductors(inst, m, top)) == want
+    for g in sieve_block_ends():
+        for cap in (f0 * (g - 1), f0 * g, f0 * (g + 1)):
+            got = list(_admissible_conductors(inst, m, cap))
+            assert got == [(f, fac) for f, fac in want if f <= cap], (g, cap)
 
 
 def test_oracle_cap_raises():

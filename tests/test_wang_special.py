@@ -18,6 +18,7 @@ from grunwald import (
 )
 from grunwald.core_arith import Place, primes_stream
 from grunwald.errors import NoWitnessError, SearchCapError, ValidationError
+from grunwald.wang_special import _field_data
 
 Q = FieldDescriptor(1)
 INF = Place(None)
@@ -78,6 +79,17 @@ def test_special_case_over_q_iff_two_in_s():
         for primes in [(), (3,), (2,), (2, 5), (3, 7)]:
             rep = special_case(Q, m, S(*primes))
             assert rep.occurs == (2 in primes)
+
+
+def test_special_case_over_q_grid():
+    # the per-field part is cached; m and S still decide every answer
+    places = (2, 3, 5, 7, None)
+    for m in range(1, 65):
+        for k in range(len(places) + 1):
+            for chosen in itertools.combinations(places, k):
+                rep = special_case(Q, m, S(*chosen))
+                assert rep.occurs == (m % 8 == 0 and 2 in chosen), (m, chosen)
+    assert _field_data.cache_info().maxsize is not None
 
 
 def test_special_case_needs_eight():
