@@ -10,7 +10,10 @@ workload.  For every end-to-end metric it prints each side's median and
 quartiles and the number of pairs CHANGE won (better in the direction
 BENCHMARK.json gives; ties count for neither side), and whether that
 meets the gain rule: at least nine tenths of the pairs won and the
-medians further apart than BASE's interquartile range.  `worse` marks a
+medians further apart than BASE's interquartile range.  The rule is
+applied only to at least GAIN_MIN_PAIRS pairs; with fewer, BASE's
+interquartile range can be 0 and one won pair would read as a gain, so
+the header says so and no metric is marked `gain`.  `worse` marks a
 metric whose CHANGE median is worse than BASE's by more than its
 BENCHMARK.json bound, a share of BASE's median.  Standard library only.
 """
@@ -21,6 +24,8 @@ import os
 import statistics
 import subprocess
 import sys
+
+GAIN_MIN_PAIRS = 10
 
 
 def run_once(tree, args):
@@ -61,7 +66,8 @@ def main():
         for side in (0, 1) if i % 2 == 0 else (1, 0):
             runs[side].append(run_once((args.base, args.change)[side], args))
 
-    print(f"{args.workload} seed {args.seed}, {args.pairs} pairs: median [q1, q3] base -> change")
+    note = "" if args.pairs >= GAIN_MIN_PAIRS else f" (gain rule needs {GAIN_MIN_PAIRS} pairs)"
+    print(f"{args.workload} seed {args.seed}, {args.pairs} pairs: median [q1, q3] base -> change{note}")
     shown = None
     for name in runs[0][0]:
         # `run.py --workload all` names a metric <workload>.<metric>
@@ -75,7 +81,11 @@ def main():
         change = [r[name] for r in runs[1]]
         wins = sum(sign * (b - c) > 0 for b, c in zip(base, change))
         bq, cq = quartiles(base), quartiles(change)
-        gain = wins >= 0.9 * args.pairs and sign * (bq[1] - cq[1]) > bq[2] - bq[0]
+        gain = (
+            args.pairs >= GAIN_MIN_PAIRS
+            and wins >= 0.9 * args.pairs
+            and sign * (bq[1] - cq[1]) > bq[2] - bq[0]
+        )
         worse = sign * (cq[1] - bq[1]) > spec[metric]["bound"] * abs(bq[1])
         print(f"{metric}: {bq[1]:.6g} [{bq[0]:.6g}, {bq[2]:.6g}] -> {cq[1]:.6g} [{cq[0]:.6g}, {cq[2]:.6g}]"
               f"  won {wins}/{args.pairs}{'  gain' if gain else ''}{'  worse' if worse else ''}")

@@ -357,6 +357,31 @@ def dlog_units(N: int, x: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+# Tables kept by power_residue_table, each of g <= mu entries.
+_RESIDUE_CACHE_SIZE = 1 << 10
+
+
+@lru_cache(maxsize=_RESIDUE_CACHE_SIZE)
+def power_residue_table(q: int, g: int) -> tuple[int, dict[int, int]]:
+    """(e, logs) for an odd prime q and g | q - 1, with e = (q - 1) / g.
+
+    x^e mod q is the g-th power-residue symbol of a unit x, and logs maps
+    it to dlog(x) mod g on the canonical generator gamma of (Z/q)^*, the
+    primitive root components(q) uses: logs is built from zeta = gamma^e,
+    of exact order g, so logs[pow(x, e, q)] == dlog_units(q, x)[0] % g.
+    The cache holds at most _RESIDUE_CACHE_SIZE tables, so at most
+    _RESIDUE_CACHE_SIZE * g entries, g <= mu for every caller.
+    """
+    e = (q - 1) // g
+    zeta = pow(_primitive_root_mod_pk(q, 1), e, q)
+    logs: dict[int, int] = {}
+    power = 1
+    for i in range(g):
+        logs[power] = i
+        power = power * zeta % q
+    return e, logs
+
+
 def crt(r1: int, m1: int, r2: int, m2: int) -> int:
     """The residue mod m1*m2 matching r1 mod m1 and r2 mod m2 (coprime moduli)."""
     return (r1 + m1 * ((r2 - r1) * pow(m1, -1, m2) % m2)) % (m1 * m2)

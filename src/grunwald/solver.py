@@ -13,7 +13,10 @@ exponent, the auxiliary primes and the cycle to 2m.
 oracle_minimal is the independent ground truth: exhaustive enumeration of
 primitive characters by increasing conductor, sharing no search logic
 with the constructive path.  It visits only the conductors F0 * g that
-the prescribed local conductors admit (see _admissible_conductors).
+the prescribed local conductors admit (see _admissible_conductors), and
+tests each from the factorization the sieve yields: a prime q of g to the
+first power contributes one power-residue symbol per check, read from
+core_arith.power_residue_table, the table auxiliary_primes also reads.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .characters import (
     CycleValue,
@@ -42,6 +46,7 @@ from .core_arith import (
     Place,
     components,
     dlog_units,
+    power_residue_table,
     prime_power,
     primes_stream,
     unit_group,
@@ -146,22 +151,6 @@ def p_star_basis(m: int, S) -> tuple[int, ...]:
     return tuple(head + primes)
 
 
-def _root_log_table(q: int, g: int, l: int) -> dict[int, int]:
-    """Discrete logs of the g-th roots of unity mod q (g | q - 1, g a power
-    of the prime l) to a generator zeta: zeta^i -> i for 0 <= i < g."""
-    exp = (q - 1) // g
-    for a in range(2, q):
-        zeta = pow(a, exp, q)
-        if pow(zeta, g // l, q) != 1:
-            break
-    table = {}
-    power = 1
-    for i in range(g):
-        table[power] = i
-        power = power * zeta % q
-    return table
-
-
 def auxiliary_primes(m: int, S, cap: int = 10**6) -> tuple[int, ...]:
     """Primes outside S that cut the survivor subgroup down, found by
     subgroup elimination.
@@ -173,11 +162,15 @@ def auxiliary_primes(m: int, S, cap: int = 10**6) -> tuple[int, ...]:
     when the power map G -> F_q*/F_q*^m = Z/g, g = gcd(m, q - 1), is
     nonzero on some generator; one least-valuation pivot step (as in
     _echelon) then replaces the generators by ones of the kernel.  The
-    search stops once every generator lies in the allowed subgroup: the
-    trivial class, plus the a0 class when the special case occurs.  For
-    non-cyclic 2-power exponents the prime 2 (when 2 is outside S) or a
-    prime q = +-3 mod 8 (when 2 is in S, so sqrt 2 stays out of Q_q) is
-    additionally required.
+    values of that map are read from core_arith.power_residue_table, the
+    table the oracle reads; its zeta is the canonical generator's power,
+    but any primitive g-th root would do, since another one multiplies
+    every value by one unit mod g and so keeps each valuation, the pivot,
+    and the subgroup each step keeps.  The search stops once every
+    generator lies in the allowed subgroup: the trivial class, plus the
+    a0 class when the special case occurs.  For non-cyclic 2-power
+    exponents the prime 2 (when 2 is outside S) or a prime q = +-3 mod 8
+    (when 2 is in S, so sqrt 2 stays out of Q_q) is additionally required.
     """
     l, r = prime_power(m)
     S = frozenset(S)
@@ -215,8 +208,8 @@ def auxiliary_primes(m: int, S, cap: int = 10**6) -> tuple[int, ...]:
         if all(z == 1 for z in images):
             continue
         chosen.append(q)
-        table = _root_log_table(q, g, l)
-        values = [table[z] for z in images]
+        _, logs = power_residue_table(q, g)
+        values = [logs[z] for z in images]
         s = valuation(g, l)
         i = min(
             (t for t in range(len(gens)) if values[t]),
@@ -546,6 +539,7 @@ def construct(instance: GrunwaldInstance) -> GrunwaldSolution:
 
 _SIEVE_FIRST_BLOCK = 1 << 6
 _SIEVE_BLOCK = 1 << 12
+_SLOT_CACHE_SIZE = 1 << 10
 
 
 def _prescribed_head(instance: GrunwaldInstance) -> tuple[tuple[int, int], ...]:
@@ -662,32 +656,50 @@ def _prescribed_block(instance: GrunwaldInstance, mu: int):
     return fixed, targets
 
 
-def _oracle_pass_pruned(instance, f, mu, block):
+@lru_cache(maxsize=_SLOT_CACHE_SIZE)
+def _free_slots(p: int, a: int, mu: int) -> tuple[tuple[int, ...], ...]:
+    """characters.primitive_slots of (Z/p^a)^* at exponent mu.  Cached, so
+    a prime power that recurs along the walk is not decomposed again: at
+    most _SLOT_CACHE_SIZE entries, each of at most two slots of < mu values."""
+    return tuple(map(tuple, primitive_slots(components(p**a)[0], mu)))
+
+
+def _oracle_pass_pruned(instance, f, factors, mu, block):
     """The least exponent vector (lexicographic) of a character of exact
     conductor f with the prescribed local data, as a character, or None.
 
-    Only the components of g = f / F0 are enumerated, against the targets
-    of the prescribed block; the fixed F0 slots are spliced back in
-    component order before the final local_component check.
+    factors is f's factorization as _admissible_conductors yields it, so f
+    is neither factored nor decomposed here.  Only the components of
+    g = f / F0 are enumerated, against the targets of the prescribed
+    block; the fixed F0 slots are spliced back in component order before
+    the final local_component check.  On a q^1 component the slots are
+    multiples of mu / gcd(mu, q - 1), so a check needs only dlog(x) mod
+    that gcd: the power-residue symbol of x at q, read from
+    power_residue_table.  l^a and 2^a components take full dlog_units rows.
     """
     fixed, targets = block
     vec: list[int] = []
     free: list[int] = []  # positions in vec of g's generators
-    choices: list[list[int]] = []
+    choices: list[tuple[int, ...]] = []
     rows: list[list[int]] = [[] for _ in targets]
-    for c in components(f):
-        sl = fixed.get(c.prime)
+    for p, a in factors:
+        sl = fixed.get(p)
         if sl is not None:
             vec.extend(sl)
             continue
-        slots = primitive_slots(c, mu)
+        slots = _free_slots(p, a, mu)
         if not all(slots):
             return None
         free.extend(range(len(vec), len(vec) + len(slots)))
         vec.extend([0] * len(slots))
         choices.extend(slots)
-        for row, (x, _) in zip(rows, targets):
-            row.extend(dlog_units(c.prime_power, x))
+        if a == 1:
+            e, logs = power_residue_table(p, math.gcd(mu, p - 1))
+            for row, (x, _) in zip(rows, targets):
+                row.append(logs[pow(x % p, e, p)])
+        else:
+            for row, (x, _) in zip(rows, targets):
+                row.extend(dlog_units(p**a, x))
     checks = [(row, want) for row, (_, want) in zip(rows, targets)]
     for combo in itertools.product(*choices):
         for row, want in checks:
@@ -718,7 +730,9 @@ def oracle_minimal(
     the prescribed unit parts is tried on each.  The F0 part of each test
     is fixed once per search (see _prescribed_block); since F0's slots are
     single-valued, lexicographic order over g's slots is the order over
-    the whole vector.
+    the whole vector.  Each f is tested from the factorization the sieve
+    yields with it, with power-residue rows on g's q^1 components (see
+    _oracle_pass_pruned).
     """
     _require_rational(instance)
     if cap < 1:
@@ -733,8 +747,8 @@ def oracle_minimal(
         if mu % m:
             raise ValidationError("exponent must be a multiple of the instance exponent")
     block = _prescribed_block(instance, mu)
-    for f, _ in _admissible_conductors(instance, mu, cap):
-        chi = _oracle_pass_pruned(instance, f, mu, block)
+    for f, factors in _admissible_conductors(instance, mu, cap):
+        chi = _oracle_pass_pruned(instance, f, factors, mu, block)
         if chi is not None:
             return GrunwaldSolution(chi, mu, report.occurs, (), conductor(chi))
     raise NoSolutionBelowCap(f"no exponent-{mu} solution with conductor <= {cap}")

@@ -23,6 +23,7 @@ from grunwald.core_arith import (
     is_prime,
     is_square_rational,
     lth_power_test_local,
+    power_residue_table,
     prime_power,
     primes_stream,
     unit_group,
@@ -157,6 +158,26 @@ def test_dlog_units_round_trip(N, data):
 def test_dlog_units_rejects_non_unit():
     with pytest.raises(NonUnitError):
         dlog_units(12, 4)
+
+
+def test_power_residue_table_matches_dlog_units():
+    # the symbol's log must be the discrete log on components(q)'s own
+    # generator reduced mod g, not on some other generator of the g-th roots
+    exponent = 2**6 * 3**3 * 5**2 * 7
+    targets = [-1] + list(itertools.takewhile(lambda p: p <= 61, primes_stream()))
+    for q in itertools.takewhile(lambda p: p < 3000, primes_stream()):
+        if q == 2:
+            continue
+        logs_of = {x: dlog_units(q, x)[0] for x in targets if x % q}
+        n = math.gcd(q - 1, exponent)
+        for g in range(2, n + 1):
+            if n % g:
+                continue
+            e, logs = power_residue_table(q, g)
+            assert e == (q - 1) // g and len(logs) == g
+            for x, d in logs_of.items():
+                assert logs[pow(x % q, e, q)] == d % g, (q, g, x)
+    assert power_residue_table.cache_info().maxsize is not None
 
 
 def test_crt():

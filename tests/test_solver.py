@@ -600,8 +600,15 @@ def full_oracle(instance, cap, exponent=None):
 
 
 def test_oracle_prune_matches_full_enumeration():
-    # the generated oracle against full enumeration; the last two cases
-    # mix a ramified with a real place and take the Wang instance at 16
+    # the generated oracle against full enumeration; the fifth and sixth
+    # cases mix a ramified with a real place and take the Wang instance at
+    # 16.  The last five have least conductors 5*41, 5*41, 13*41, 8*5*13 and
+    # 4*5*17: two unprescribed q^1 factors with gcd(mu, q - 1) >= 4, the
+    # last two also a power of 2, so their checks read power-residue rows;
+    # at 41 the canonical generator's zeta is not the least element of order g
+    def unramified(m, spec):
+        return make_instance(m, [unramified_local(p, m, t) for p, t in spec])
+
     cases = [
         (make_instance(4, [local_character(Place(5), 4, conductor_exponent=1, unit_exponents=(1,))]), 400, None),
         (make_instance(2, [sign_local(2, 1)]), 400, None),
@@ -609,6 +616,11 @@ def test_oracle_prune_matches_full_enumeration():
         (make_instance(8, [unramified_local(3, 8, 1)]), 400, None),
         (make_instance(4, [local_character(Place(5), 4, conductor_exponent=1, unit_exponents=(2,)), sign_local(4, 1)]), 400, None),
         (make_instance(8, [WANG_PSI]), 600, 16),
+        (unramified(8, [(3, 5), (7, 1)]), 600, None),
+        (unramified(4, [(2, 3), (3, 2), (19, 3)]), 600, None),
+        (unramified(4, [(2, 3), (19, 2), (23, 2)]), 600, None),
+        (unramified(4, [(3, 3), (7, 0), (11, 1), (23, 3)]), 600, None),
+        (unramified(8, [(3, 3), (11, 3), (19, 6)]), 600, None),
     ]
     for inst, cap, exponent in cases:
         want = full_oracle(inst, cap, exponent)
