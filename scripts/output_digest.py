@@ -1,0 +1,106 @@
+#!/usr/bin/env python3
+"""Print a digest of the solver's exact outputs, to compare two checkouts.
+
+    python3 scripts/output_digest.py
+
+Prints one `name count sha256` line per output family, each hashed over
+one text line per call (the `repr` of the result, or the exception's type
+and message):
+
+- `oracle_minimal`: the oracle ops of the `oracle` benchmark workload for
+  seeds 1-3, then each of the 160 acceptance-matrix cells
+  (`scripts/bounds_matrix.py`) at cap = construct's conductor, at cap 2000
+  with exponent 2m, and at cap 60;
+- `construct`: the construct ops of the `construct` workload for seeds
+  1-3, then the 160 cells;
+- `auxiliary_primes`: m in {2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 32} times
+  every S of at most four of the primes 2..13, with and without the real
+  place.
+
+Equal lines in two checkouts mean byte-identical outputs.  The package is
+imported from this checkout's `src/`, and the workloads are read from its
+`perfbench/workloads.py`, which is not changed.  Standard library only.
+"""
+
+import hashlib
+import itertools
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench"), str(ROOT / "scripts")]
+
+import workloads  # noqa: E402
+from bounds_matrix import BASE, EXPONENTS, prescriptions  # noqa: E402
+from grunwald import construct, make_instance, oracle_minimal  # noqa: E402
+from grunwald.core_arith import Place  # noqa: E402
+from grunwald.solver import auxiliary_primes  # noqa: E402
+
+SEEDS = (1, 2, 3)
+AUX_EXPONENTS = (2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 32)
+AUX_PRIMES = (2, 3, 5, 7, 11, 13)
+
+
+def outcome(call):
+    try:
+        return repr(call())
+    except Exception as exc:  # an expected raise is an output too
+        return f"{type(exc).__name__}: {exc}"
+
+
+def matrix_cells():
+    for m in EXPONENTS:
+        for k in range(len(BASE) + 1):
+            for S in itertools.combinations(BASE, k):
+                yield m, make_instance(m, prescriptions(m, set(S)))
+
+
+def workload_ops(name, workdir):
+    for seed in SEEDS:
+        yield from workloads.build(name, seed, workdir)
+
+
+def oracle_lines(workdir):
+    for op in workload_ops("oracle", workdir):
+        yield outcome(op.run)
+    for m, inst in matrix_cells():
+        cap = construct(inst).conductor_norm
+        yield outcome(lambda: oracle_minimal(inst, cap))
+        yield outcome(lambda: oracle_minimal(inst, 2000, exponent=2 * m))
+        yield outcome(lambda: oracle_minimal(inst, 60))
+
+
+def construct_lines(workdir):
+    for op in workload_ops("construct", workdir):
+        yield outcome(op.run)
+    for _, inst in matrix_cells():
+        yield outcome(lambda: construct(inst))
+
+
+def auxiliary_lines(workdir):
+    for m in AUX_EXPONENTS:
+        for k in range(5):
+            for primes in itertools.combinations(AUX_PRIMES, k):
+                for real in (False, True):
+                    S = {Place(p) for p in primes} | ({Place(None)} if real else set())
+                    yield outcome(lambda: auxiliary_primes(m, S))
+
+
+def main():
+    with tempfile.TemporaryDirectory() as workdir:
+        for name, lines in (
+            ("oracle_minimal", oracle_lines),
+            ("construct", construct_lines),
+            ("auxiliary_primes", auxiliary_lines),
+        ):
+            digest = hashlib.sha256()
+            count = 0
+            for line in lines(workdir):
+                digest.update(line.encode() + b"\n")
+                count += 1
+            print(f"{name} {count} {digest.hexdigest()}", flush=True)
+
+
+if __name__ == "__main__":
+    main()

@@ -124,6 +124,8 @@ def _cmd_scan(args) -> int:
     # checked here too, so that bad input never creates or truncates --out
     if args.epsilon <= 0:
         raise ValidationError("epsilon must be positive")
+    if args.cap < 1:
+        raise ValidationError(f"bad search cap {args.cap}")
     flagged = 0
     maxima = None
 

@@ -42,6 +42,8 @@ class PrimeWitness:
 
 def least_nonsplit_prime(chi: DirichletCharacter, S=(), cap: int = 10**8) -> PrimeWitness:
     """Least prime outside S, coprime to the conductor, where chi != 1."""
+    if cap < 1:
+        raise ValidationError(f"bad search cap {cap}")
     prim = primitivize(chi)
     if character_order(prim) == 1:
         raise NoWitnessError("the trivial character is 1 at every prime")
@@ -104,6 +106,8 @@ def scan_family(max_conductor: int, S=(), epsilon: float = 0.1, cap: int = 10**8
     """
     if epsilon <= 0:
         raise ValidationError("epsilon must be positive")
+    if cap < 1:
+        raise ValidationError(f"bad search cap {cap}")
     skip = {v.prime for v in S if not v.is_real}
     norm_s = math.prod(skip, start=1)
     for f in range(3, max_conductor + 1):

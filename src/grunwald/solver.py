@@ -14,9 +14,13 @@ oracle_minimal is the independent ground truth: exhaustive enumeration of
 primitive characters by increasing conductor, sharing no search logic
 with the constructive path.  It visits only the conductors F0 * g that
 the prescribed local conductors admit (see _admissible_conductors), and
-tests each from the factorization the sieve yields: a prime q of g to the
-first power contributes one power-residue symbol per check, read from
-core_arith.power_residue_table, the table auxiliary_primes also reads.
+tests each from the factorization the sieve yields.  First an order test
+(_reaches_orders): every check's target, of additive order n in Z/mu,
+must lie in the chain of subgroups g's components can reach, which on a
+prime q of g to the first power is one pow of the power-residue symbol.
+Only the f that pass it are enumerated, each q^1 contributing one symbol
+per check, read from core_arith.power_residue_table, the table
+auxiliary_primes also reads.
 """
 
 from __future__ import annotations
@@ -627,16 +631,19 @@ def _admissible_conductors(instance: GrunwaldInstance, mu: int, cap: int):
 def _prescribed_block(instance: GrunwaldInstance, mu: int):
     """The F0 part of every oracle pass, computed once per search.
 
-    Returns (fixed, targets).  fixed maps each ramified prescribed prime p
-    to its only possible unit slot, (-scale * t) mod mu.  targets has one
-    (x, want) per linear check, the prescribed finite primes in order and
-    then the real place: the check asks that the exponent vector dotted
-    with the discrete logs of x (p, resp. -1) be the prescribed uniformizer
-    value (resp. sign), and want is that value minus what the fixed slots
-    contribute.  F0's components carry the same generators in every
-    f = F0 * g, since dlog_units(p^k, x) depends only on p^k, so these
-    constants hold for every f.
+    Returns (fixed, targets, orders).  fixed maps each ramified prescribed
+    prime p to its only possible unit slot, (-scale * t) mod mu.  targets
+    has one (x, want) per linear check, the prescribed finite primes in
+    order and then the real place: the check asks that the exponent vector
+    dotted with the discrete logs of x (p, resp. -1) be the prescribed
+    uniformizer value (resp. sign), and want is that value minus what the
+    fixed slots contribute.  F0's components carry the same generators in
+    every f = F0 * g, since dlog_units(p^k, x) depends only on p^k, so
+    these constants hold for every f.  orders has one (x, n, n // l) per
+    check whose want has additive order n > 1 in Z/mu, mu = l^r: the input
+    of _reaches_orders.
     """
+    l, _ = prime_power(mu)
     scale = mu // instance.m
     head = _prescribed_head(instance)
     by_prime = {psi.place.prime: psi for psi in instance.local_characters}
@@ -653,7 +660,55 @@ def _prescribed_block(instance: GrunwaldInstance, mu: int):
             if p != x:
                 want -= sum(e * t for e, t in zip(dlog_units(p**k, x), fixed[p]))
         targets.append((x, want % mu))
-    return fixed, targets
+    orders = tuple(
+        (x, n, n // l) for x, want in targets if (n := mu // math.gcd(want, mu)) > 1
+    )
+    return fixed, targets, orders
+
+
+@lru_cache(maxsize=_SLOT_CACHE_SIZE)
+def _component_reach(p: int, a: int, mu: int, x: int) -> int:
+    """Order of the subgroup of Z/mu that the exponent-mu characters of
+    (Z/p^a)^* give the check on x: max over generators j of
+    g_j / gcd(dlog_j(x), g_j), g_j = gcd(mu, o_j).  Cached, at most
+    _SLOT_CACHE_SIZE entries; only l^a and 2^a come here, so keys are few."""
+    reach = 1
+    for o, d in zip(components(p**a)[0].orders, dlog_units(p**a, x)):
+        g = math.gcd(mu, o)
+        reach = max(reach, g // math.gcd(d, g))
+    return reach
+
+
+def _reaches_orders(factors, mu: int, block) -> bool:
+    """False when no character of conductor f = F0 * g can pass the
+    oracle's checks, judged from g's factorization alone.
+
+    Generator j of a component of g takes slots that are multiples of
+    mu / g_j, g_j = gcd(mu, o_j), so the component's share of the check
+    on x ranges over the subgroup of Z/mu of order
+    max_j g_j / gcd(dlog_j(x), g_j).  Subgroups of the cyclic l-group
+    Z/mu form a chain, so g's components together reach only the largest
+    of them; the check's target, of order n, lies in it only if some
+    component reaches order n.  On q^1 that order is the order of the
+    g_q-th power-residue symbol x^((q-1)/g_q), g_q = gcd(mu, q - 1), so it
+    is >= n exactly when g_q >= n and the symbol's (n/l)-th power is not
+    1: one pow, no table.  l^a and 2^a go through _component_reach.
+    Passing is necessary, not sufficient: _oracle_pass_pruned decides.
+    """
+    fixed, _, orders = block
+    for x, n, below in orders:
+        for p, a in factors:
+            if p in fixed:
+                continue
+            if a == 1:
+                g = math.gcd(mu, p - 1)
+                if g >= n and pow(x % p, (p - 1) // g * below, p) != 1:
+                    break
+            elif _component_reach(p, a, mu, x) >= n:
+                break
+        else:
+            return False
+    return True
 
 
 @lru_cache(maxsize=_SLOT_CACHE_SIZE)
@@ -676,8 +731,11 @@ def _oracle_pass_pruned(instance, f, factors, mu, block):
     multiples of mu / gcd(mu, q - 1), so a check needs only dlog(x) mod
     that gcd: the power-residue symbol of x at q, read from
     power_residue_table.  l^a and 2^a components take full dlog_units rows.
+    The order test is not repeated here: oracle_minimal calls this only
+    for the f that pass _reaches_orders, and an f that fails it returns
+    None here too, since no slot choice reaches its target.
     """
-    fixed, targets = block
+    fixed, targets, _ = block
     vec: list[int] = []
     free: list[int] = []  # positions in vec of g's generators
     choices: list[tuple[int, ...]] = []
@@ -731,8 +789,12 @@ def oracle_minimal(
     is fixed once per search (see _prescribed_block); since F0's slots are
     single-valued, lexicographic order over g's slots is the order over
     the whole vector.  Each f is tested from the factorization the sieve
-    yields with it, with power-residue rows on g's q^1 components (see
-    _oracle_pass_pruned).
+    yields with it: first the order test (_reaches_orders), which skips
+    f when some check's target has an order that no component of g can
+    reach, before any table is built or slot enumerated; it rejects only
+    f where the enumeration would find nothing, so the answer is the same.
+    The f that pass are enumerated with power-residue rows on g's q^1
+    components (see _oracle_pass_pruned).
     """
     _require_rational(instance)
     if cap < 1:
@@ -748,6 +810,8 @@ def oracle_minimal(
             raise ValidationError("exponent must be a multiple of the instance exponent")
     block = _prescribed_block(instance, mu)
     for f, factors in _admissible_conductors(instance, mu, cap):
+        if not _reaches_orders(factors, mu, block):
+            continue
         chi = _oracle_pass_pruned(instance, f, factors, mu, block)
         if chi is not None:
             return GrunwaldSolution(chi, mu, report.occurs, (), conductor(chi))

@@ -117,6 +117,29 @@ def test_scan_bad_epsilon_leaves_out_file_alone(capsys, tmp_path):
     assert capsys.readouterr().err.splitlines() == ["error: epsilon must be positive"] * 2
 
 
+def test_scan_bad_cap_leaves_out_file_alone(capsys, tmp_path):
+    missing = tmp_path / "missing.csv"
+    assert run(["scan", "--max-conductor", "20", "--cap", "0", "--out", str(missing)]) == 2
+    assert not missing.exists()
+    kept = tmp_path / "kept.csv"
+    kept.write_text("keep\n")
+    assert run(["scan", "--max-conductor", "20", "--cap", "-5", "--out", str(kept)]) == 2
+    assert kept.read_text() == "keep\n"
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: bad search cap 0", "error: bad search cap -5"]
+
+
+def test_least_prime_bad_cap(capsys, wang_file):
+    # bad input (2), as for construct --method oracle, not an exhausted cap (3)
+    assert run(["least-prime", "--modulus", "5", "--exponents", "1", "--cap", "-5"]) == 2
+    assert run(["least-prime", "--modulus", "5", "--exponents", "1", "--cap", "0"]) == 2
+    assert run(["construct", "--instance", wang_file, "--method", "oracle", "--cap", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: bad search cap {c}" for c in (-5, 0, 0)]
+
+
 def test_scan_summary_matches_records(capsys, tmp_path):
     # the running flagged count and maxima against the written rows; a
     # small cap flags some records, cap 1 flags all (maxima default 0.0)

@@ -73,6 +73,15 @@ def test_least_nonsplit_cap():
         least_nonsplit_prime(chi, (Place(2),), cap=4)  # witness would be 5
 
 
+def test_bad_search_cap_is_validation_error():
+    chi = make_dirichlet(3, (1,), 2)
+    for cap in (0, -5):
+        with pytest.raises(ValidationError, match=f"bad search cap {cap}"):
+            least_nonsplit_prime(chi, cap=cap)
+        with pytest.raises(ValidationError, match=f"bad search cap {cap}"):
+            next(scan_family(20, cap=cap))
+
+
 def test_analytic_conductor():
     chi = make_dirichlet(5, (1,), 4)
     assert analytic_conductor_S(chi, ()) == 5

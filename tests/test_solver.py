@@ -42,6 +42,7 @@ from grunwald.characters import _slice_conductor_exponent
 from grunwald.core_arith import (
     Place,
     components,
+    dlog_units,
     factor,
     is_prime,
     prime_power,
@@ -59,8 +60,12 @@ from grunwald.solver import (
     _SIEVE_FIRST_BLOCK,
     _admissible_conductors,
     _assemble_rows,
+    _component_reach,
     _echelon,
     _minimal_candidate,
+    _oracle_pass_pruned,
+    _prescribed_block,
+    _reaches_orders,
     _solution_lattice,
 )
 
@@ -599,6 +604,12 @@ def full_oracle(instance, cap, exponent=None):
     return None
 
 
+def unramified_instance(m, spec):
+    """Exponent m with an unramified character of uniformizer value t at
+    each (p, t) of spec."""
+    return make_instance(m, [unramified_local(p, m, t) for p, t in spec])
+
+
 def test_oracle_prune_matches_full_enumeration():
     # the generated oracle against full enumeration; the fifth and sixth
     # cases mix a ramified with a real place and take the Wang instance at
@@ -606,9 +617,6 @@ def test_oracle_prune_matches_full_enumeration():
     # 4*5*17: two unprescribed q^1 factors with gcd(mu, q - 1) >= 4, the
     # last two also a power of 2, so their checks read power-residue rows;
     # at 41 the canonical generator's zeta is not the least element of order g
-    def unramified(m, spec):
-        return make_instance(m, [unramified_local(p, m, t) for p, t in spec])
-
     cases = [
         (make_instance(4, [local_character(Place(5), 4, conductor_exponent=1, unit_exponents=(1,))]), 400, None),
         (make_instance(2, [sign_local(2, 1)]), 400, None),
@@ -616,11 +624,11 @@ def test_oracle_prune_matches_full_enumeration():
         (make_instance(8, [unramified_local(3, 8, 1)]), 400, None),
         (make_instance(4, [local_character(Place(5), 4, conductor_exponent=1, unit_exponents=(2,)), sign_local(4, 1)]), 400, None),
         (make_instance(8, [WANG_PSI]), 600, 16),
-        (unramified(8, [(3, 5), (7, 1)]), 600, None),
-        (unramified(4, [(2, 3), (3, 2), (19, 3)]), 600, None),
-        (unramified(4, [(2, 3), (19, 2), (23, 2)]), 600, None),
-        (unramified(4, [(3, 3), (7, 0), (11, 1), (23, 3)]), 600, None),
-        (unramified(8, [(3, 3), (11, 3), (19, 6)]), 600, None),
+        (unramified_instance(8, [(3, 5), (7, 1)]), 600, None),
+        (unramified_instance(4, [(2, 3), (3, 2), (19, 3)]), 600, None),
+        (unramified_instance(4, [(2, 3), (19, 2), (23, 2)]), 600, None),
+        (unramified_instance(4, [(3, 3), (7, 0), (11, 1), (23, 3)]), 600, None),
+        (unramified_instance(8, [(3, 3), (11, 3), (19, 6)]), 600, None),
     ]
     for inst, cap, exponent in cases:
         want = full_oracle(inst, cap, exponent)
@@ -781,6 +789,90 @@ def test_admissible_conductors_span_sieve_blocks(m, spec):
         for cap in (f0 * (g - 1), f0 * g, f0 * (g + 1)):
             got = list(_admissible_conductors(inst, m, cap))
             assert got == [(f, fac) for f, fac in want if f <= cap], (g, cap)
+
+
+# --- the order test against the reach of every slot ------------------------
+
+def reference_reaches(instance, f, mu, targets):
+    """The order test recomputed from the full decomposition of g = f / F0:
+    every check's target must lie in the subgroup of Z/mu that g's generators
+    span, each generator j stepping by (mu / g_j) * dlog_j(x), g_j =
+    gcd(mu, o_j); that subgroup is the multiples of the gcd of the steps."""
+    g = f // f0_of(instance)
+    for x, want in targets:
+        logs = dlog_units(g, x)
+        step = mu
+        for c in components(g):
+            for j, o in enumerate(c.orders):
+                step = math.gcd(step, mu // math.gcd(mu, o) * logs[c.offset + j])
+        if want % step:
+            return False
+    return True
+
+
+@given(
+    m=st.sampled_from([2, 3, 4, 5, 8, 9, 16]),
+    spec=admissible_specs,
+    doubled=st.booleans(),
+)
+@example(m=4, spec=[(3, 0, 1)], doubled=False)
+@example(m=16, spec=[(3, 0, 1), (5, 0, 3), (None, 0, 1)], doubled=True)
+@example(m=9, spec=[(2, 0, 1), (7, 0, 1)], doubled=False)
+@settings(max_examples=60, deadline=None)
+def test_order_test_rejects_only_empty_passes(m, spec, doubled):
+    # every admissible f up to a few hundred times F0: the test says what
+    # the slot subgroups say, and no character of a rejected f passes
+    inst = admissible_instance(m, spec)
+    mu = 2 * m if doubled and m % 2 == 0 else m
+    block = _prescribed_block(inst, mu)
+    for f, factors in _admissible_conductors(inst, mu, f0_of(inst) * 300):
+        reaches = _reaches_orders(factors, mu, block)
+        assert reaches == reference_reaches(inst, f, mu, block[1]), f
+        if not reaches:
+            assert _oracle_pass_pruned(inst, f, factors, mu, block) is None, f
+
+
+@pytest.mark.parametrize(
+    "inst,least,free",
+    [
+        # chi(3) = i: 3 is a non-square mod 5, so q = 5 reaches order 4
+        (unramified_instance(4, [(3, 1)]), 5, (5, 1)),
+        # with 5 prescribed, 2^4 alone reaches order 4: 3 is a square mod 13
+        (unramified_instance(4, [(3, 1), (5, 1)]), 16, (2, 4)),
+        # with 7 prescribed, 3^2 alone reaches order 3 (before q = 13)
+        (unramified_instance(3, [(2, 1), (7, 1)]), 9, (3, 2)),
+    ],
+)
+def test_order_test_is_tight(inst, least, free):
+    # the least conductor's one free component reaches exactly each target's
+    # order, so a strict comparison, or a symbol raised one power of l too
+    # far, would skip it and the oracle would answer a larger conductor
+    mu = inst.m
+    block = _prescribed_block(inst, mu)
+    assert [n for _, n, _ in block[2]] == [_component_reach(*free, mu, x) for x, _, _ in block[2]]
+    want = full_oracle(inst, 200)
+    assert conductor(want).norm == least == free[0] ** free[1]
+    assert oracle_minimal(inst, 200).character == want
+    assert _reaches_orders((free,), mu, block)
+
+
+def test_order_test_without_targets_keeps_every_conductor():
+    # the ramified 5 shifts the checks on 3 and -1 to want 0; the check
+    # on 5 is its uniformizer value 0: nothing to reach, nothing skipped
+    m = 4
+    inst = make_instance(
+        m,
+        [
+            unramified_local(3, m, 1),
+            local_character(Place(5), m, conductor_exponent=1, unit_exponents=(1,)),
+            sign_local(m, 1),
+        ],
+    )
+    block = _prescribed_block(inst, m)
+    assert [want for _, want in block[1]] == [0, 0, 0]
+    assert block[2] == ()
+    assert all(_reaches_orders(fac, m, block) for _, fac in _admissible_conductors(inst, m, 2000))
+    assert oracle_minimal(inst, 200).character == full_oracle(inst, 200)
 
 
 def test_oracle_cap_raises():
