@@ -15,7 +15,9 @@ and message):
   1-3, then the 160 cells;
 - `auxiliary_primes`: m in {2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 32} times
   every S of at most four of the primes 2..13, with and without the real
-  place.
+  place;
+- `cli`: the cli-mix ops of the `cli-mix` workload for seeds 1-3, each
+  hashed as the `repr` of its (exit code, stdout) pair.
 
 Equal lines in two checkouts mean byte-identical outputs.  The package is
 imported from this checkout's `src/`, and the workloads are read from its
@@ -87,12 +89,18 @@ def auxiliary_lines(workdir):
                     yield outcome(lambda: auxiliary_primes(m, S))
 
 
+def cli_lines(workdir):
+    for op in workload_ops("cli-mix", workdir):
+        yield outcome(op.run)
+
+
 def main():
     with tempfile.TemporaryDirectory() as workdir:
         for name, lines in (
             ("oracle_minimal", oracle_lines),
             ("construct", construct_lines),
             ("auxiliary_primes", auxiliary_lines),
+            ("cli", cli_lines),
         ):
             digest = hashlib.sha256()
             count = 0

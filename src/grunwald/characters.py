@@ -151,21 +151,6 @@ class LocalCharacter:
     def is_ramified(self) -> bool:
         return self.conductor_exponent > 0
 
-    @property
-    def conductor_norm(self) -> int:
-        if self.place.is_real:
-            return 1
-        return self.place.prime**self.conductor_exponent
-
-    def order(self) -> int:
-        m = self.exponent_modulus
-        if self.place.is_real:
-            return 2 if self.sign_exponent % 2 else 1
-        g = math.gcd(m, self.uniformizer_exponent)
-        for t in self.unit_exponents:
-            g = math.gcd(g, t)
-        return m // g
-
 
 def local_character(
     place: Place,

@@ -16,12 +16,7 @@ import sys
 
 from .characters import character_order, conductor, make_dirichlet
 from .core_arith import Place, unit_group
-from .errors import (
-    GrunwaldError,
-    InternalContradictionError,
-    SearchCapError,
-    ValidationError,
-)
+from .errors import GrunwaldError, SearchCapError, ValidationError
 from .mult_one import least_nonsplit_prime, scan_family, write_scan_csv
 from .powres import least_non_lth_power_modulus, least_non_lth_power_modulus_with_order
 from .solver import bound_report, construct, instance_from_dict, oracle_minimal
@@ -250,18 +245,11 @@ def run(argv) -> int:
     try:
         args = parser.parse_args(argv)
         return args.handler(args)
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except SearchCapError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except InternalContradictionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
     except GrunwaldError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 4
+        if isinstance(exc, ValidationError):
+            return 2
+        return 3 if isinstance(exc, SearchCapError) else 4
 
 
 def console_main() -> None:

@@ -134,25 +134,6 @@ class FactoredInteger:
         if self.value < 1 or prod != self.value:
             raise ValidationError(f"factors do not recompose {self.value}")
 
-    @classmethod
-    def one(cls) -> "FactoredInteger":
-        return cls(1, ())
-
-    def times(self, other: "FactoredInteger") -> "FactoredInteger":
-        merged = dict(self.factors)
-        for p, e in other.factors:
-            merged[p] = merged.get(p, 0) + e
-        return FactoredInteger(self.value * other.value, tuple(sorted(merged.items())))
-
-    def valuation(self, p: int) -> int:
-        for q, e in self.factors:
-            if q == p:
-                return e
-        return 0
-
-    def radical(self) -> int:
-        return math.prod(p for p, _ in self.factors)
-
     def __str__(self) -> str:
         if not self.factors:
             return "1"

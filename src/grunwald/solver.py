@@ -12,15 +12,18 @@ exponent, the auxiliary primes and the cycle to 2m.
 
 oracle_minimal is the independent ground truth: exhaustive enumeration of
 primitive characters by increasing conductor, sharing no search logic
-with the constructive path.  It visits only the conductors F0 * g that
-the prescribed local conductors admit (see _admissible_conductors), and
-tests each from the factorization the sieve yields.  First an order test
-(_reaches_orders): every check's target, of additive order n in Z/mu,
-must lie in the chain of subgroups g's components can reach, which on a
-prime q of g to the first power is one pow of the power-residue symbol.
-Only the f that pass it are enumerated, each q^1 contributing one symbol
-per check, read from core_arith.power_residue_table, the table
-auxiliary_primes also reads.
+with the constructive path.  Both solve one problem, stated once: the
+exponent (_exponent), one linear check per prescribed place (_checks),
+and _verify_solution, which every answer of either passes.  The oracle
+visits only the conductors F0 * g that the prescribed local conductors
+admit (see _admissible_conductors), and tests each from the
+factorization the sieve yields.  First an order test (_reaches_orders):
+every check's target, of additive order n in Z/mu, must lie in the chain
+of subgroups g's components can reach, which on a prime q of g to the
+first power is one pow of the power-residue symbol.  Only the f that
+pass it are enumerated against the linear checks alone, each q^1
+contributing one symbol per check, read from
+core_arith.power_residue_table, the table auxiliary_primes also reads.
 """
 
 from __future__ import annotations
@@ -65,6 +68,7 @@ from .errors import (
 from .wang_special import FieldDescriptor, special_case
 
 _KERNEL_LIMIT = 1 << 20
+_AUX_PRIME_CAP = 10**6
 
 
 @dataclass(frozen=True)
@@ -155,7 +159,7 @@ def p_star_basis(m: int, S) -> tuple[int, ...]:
     return tuple(head + primes)
 
 
-def auxiliary_primes(m: int, S, cap: int = 10**6) -> tuple[int, ...]:
+def auxiliary_primes(m: int, S) -> tuple[int, ...]:
     """Primes outside S that cut the survivor subgroup down, found by
     subgroup elimination.
 
@@ -197,8 +201,8 @@ def auxiliary_primes(m: int, S, cap: int = 10**6) -> tuple[int, ...]:
     for q in primes_stream():
         if all(h in allowed for h in gens):
             break
-        if q > cap:
-            raise SearchCapError(f"auxiliary-prime search passed {cap}")
+        if q > _AUX_PRIME_CAP:
+            raise SearchCapError(f"auxiliary-prime search passed {_AUX_PRIME_CAP}")
         if q == l or q in s_primes:
             continue
         g = math.gcd(m, q - 1)
@@ -271,6 +275,35 @@ def obstruction_exponent(instance: GrunwaldInstance, report=None) -> int:
     )
 
 
+def _exponent(instance: GrunwaldInstance, exponent: int | None):
+    """(report, mu): the Wang report for the prescribed places and the
+    exponent to solve at.  With exponent None that is the Wang dichotomy,
+    2m for obstructed data and m otherwise; an explicit exponent must be a
+    multiple of m."""
+    m = instance.m
+    report = special_case(instance.field, m, set(instance.places))
+    if exponent is None:
+        obstructed = report.occurs and obstruction_exponent(instance, report) != 0
+        return report, 2 * m if obstructed else m
+    if exponent % m:
+        raise ValidationError("exponent must be a multiple of the instance exponent")
+    return report, exponent
+
+
+def _checks(instance: GrunwaldInstance, mu: int) -> list[tuple[int, int]]:
+    """One (x, want) per prescribed place, in order: an exponent-mu
+    character meets the place's uniformizer value (x = p), resp. sign
+    (x = -1), when its exponent vector dotted with the discrete logs of x
+    is want mod mu."""
+    scale = mu // instance.m
+    return [
+        (-1, psi.sign_exponent * (mu // 2) % mu)
+        if psi.place.is_real
+        else (psi.place.prime, scale * psi.uniformizer_exponent % mu)
+        for psi in instance.local_characters
+    ]
+
+
 def _assemble_rows(instance: GrunwaldInstance, M: int, mu: int):
     """Linear constraints mod mu on the exponent vector of a character mod M."""
     comps = components(M)
@@ -284,32 +317,21 @@ def _assemble_rows(instance: GrunwaldInstance, M: int, mu: int):
         row[i] = o % mu
         rows.append(row)
         rhs.append(0)
-    for psi in instance.local_characters:
-        if psi.place.is_real:
-            rows.append([e % mu for e in dlog_units(M, M - 1)])
-            rhs.append(psi.sign_exponent * (mu // 2) % mu)
-            continue
-        p = psi.place.prime
-        mine = None
-        for c in comps:
-            if c.prime == p:
-                mine = c
-                break
-        if mine is not None:
-            # the character's own CRT factor at p inverts the prescribed unit part
-            for h, g in enumerate(mine.local_generators):
-                row = [0] * n
-                row[mine.offset + h] = 1
-                rows.append(row)
-                rhs.append((-scale * evaluate_local(psi, Fraction(g))) % mu)
+    for psi, (x, want) in zip(instance.local_characters, _checks(instance, mu)):
         row = [0] * n
         for c in comps:
-            if mine is not None and c.prime == p:
+            if c.prime == x:
+                # the character's own CRT factor at p inverts the prescribed unit part
+                for h, g in enumerate(c.local_generators):
+                    unit = [0] * n
+                    unit[c.offset + h] = 1
+                    rows.append(unit)
+                    rhs.append((-scale * evaluate_local(psi, Fraction(g))) % mu)
                 continue
-            for h, e in enumerate(dlog_units(c.prime_power, p)):
+            for h, e in enumerate(dlog_units(c.prime_power, x)):
                 row[c.offset + h] = e % mu
         rows.append(row)
-        rhs.append(scale * psi.uniformizer_exponent % mu)
+        rhs.append(want)
     return rows, rhs
 
 
@@ -486,21 +508,11 @@ def solve_character(
     tests to demonstrate infeasibility at the unwidened exponent).
     """
     _require_rational(instance)
-    m = instance.m
-    S = set(instance.places)
-    report = special_case(instance.field, m, S)
+    report, mu = _exponent(instance, exponent)
     aux = tuple(aux_primes)
-    if exponent is None:
-        if report.occurs and obstruction_exponent(instance, report) != 0:
-            mu = 2 * m
-            aux = auxiliary_primes(mu, S)
-            cycle = build_cycle(instance, aux, exponent=mu)
-        else:
-            mu = m
-    else:
-        mu = exponent
-        if mu % m:
-            raise ValidationError("exponent must be a multiple of the instance exponent")
+    if exponent is None and mu != instance.m:
+        aux = auxiliary_primes(mu, set(instance.places))
+        cycle = build_cycle(instance, aux, exponent=mu)
     l, rho = prime_power(mu)
     M = cycle.finite_part.value
     rows, rhs = _assemble_rows(instance, M, mu)
@@ -633,11 +645,8 @@ def _prescribed_block(instance: GrunwaldInstance, mu: int):
 
     Returns (fixed, targets, orders).  fixed maps each ramified prescribed
     prime p to its only possible unit slot, (-scale * t) mod mu.  targets
-    has one (x, want) per linear check, the prescribed finite primes in
-    order and then the real place: the check asks that the exponent vector
-    dotted with the discrete logs of x (p, resp. -1) be the prescribed
-    uniformizer value (resp. sign), and want is that value minus what the
-    fixed slots contribute.  F0's components carry the same generators in
+    has one (x, want) per check of _checks, want less what the fixed slots
+    contribute to it.  F0's components carry the same generators in
     every f = F0 * g, since dlog_units(p^k, x) depends only on p^k, so
     these constants hold for every f.  orders has one (x, n, n // l) per
     check whose want has additive order n > 1 in Z/mu, mu = l^r: the input
@@ -651,11 +660,7 @@ def _prescribed_block(instance: GrunwaldInstance, mu: int):
         p: tuple((-scale * t) % mu for t in by_prime[p].unit_exponents) for p, _ in head
     }
     targets = []
-    for psi in instance.local_characters:
-        if psi.place.is_real:
-            x, want = -1, psi.sign_exponent * (mu // 2)
-        else:
-            x, want = psi.place.prime, scale * psi.uniformizer_exponent
+    for x, want in _checks(instance, mu):
         for p, k in head:
             if p != x:
                 want -= sum(e * t for e, t in zip(dlog_units(p**k, x), fixed[p]))
@@ -719,18 +724,22 @@ def _free_slots(p: int, a: int, mu: int) -> tuple[tuple[int, ...], ...]:
     return tuple(map(tuple, primitive_slots(components(p**a)[0], mu)))
 
 
-def _oracle_pass_pruned(instance, f, factors, mu, block):
+def _oracle_pass_pruned(f, factors, mu, block):
     """The least exponent vector (lexicographic) of a character of exact
-    conductor f with the prescribed local data, as a character, or None.
+    conductor f that meets the linear checks, as a character, or None.
 
     factors is f's factorization as _admissible_conductors yields it, so f
     is neither factored nor decomposed here.  Only the components of
     g = f / F0 are enumerated, against the targets of the prescribed
-    block; the fixed F0 slots are spliced back in component order before
-    the final local_component check.  On a q^1 component the slots are
-    multiples of mu / gcd(mu, q - 1), so a check needs only dlog(x) mod
-    that gcd: the power-residue symbol of x at q, read from
-    power_residue_table.  l^a and 2^a components take full dlog_units rows.
+    block, and the first slot combination that meets them all is returned
+    with the fixed F0 slots spliced back in component order.  Nothing else
+    is checked: the F0 slots carry the prescribed unit parts and every
+    slot is primitive, so the checks are the whole local data, and
+    oracle_minimal passes the answer through _verify_solution.  On a q^1
+    component the slots are multiples of mu / gcd(mu, q - 1), so a check
+    needs only dlog(x) mod that gcd: the power-residue symbol of x at q,
+    read from power_residue_table.  l^a and 2^a components take full
+    dlog_units rows.
     The order test is not repeated here: oracle_minimal calls this only
     for the f that pass _reaches_orders, and an f that fails it returns
     None here too, since no slot choice reaches its target.
@@ -746,8 +755,6 @@ def _oracle_pass_pruned(instance, f, factors, mu, block):
             vec.extend(sl)
             continue
         slots = _free_slots(p, a, mu)
-        if not all(slots):
-            return None
         free.extend(range(len(vec), len(vec) + len(slots)))
         vec.extend([0] * len(slots))
         choices.extend(slots)
@@ -766,12 +773,7 @@ def _oracle_pass_pruned(instance, f, factors, mu, block):
         else:
             for j, t in zip(free, combo):
                 vec[j] = t
-            chi = DirichletCharacter(f, mu, tuple(vec))
-            if all(
-                local_component(chi, psi.place) == psi
-                for psi in instance.local_characters
-            ):
-                return chi
+            return DirichletCharacter(f, mu, tuple(vec))
     return None
 
 
@@ -794,27 +796,24 @@ def oracle_minimal(
     reach, before any table is built or slot enumerated; it rejects only
     f where the enumeration would find nothing, so the answer is the same.
     The f that pass are enumerated with power-residue rows on g's q^1
-    components (see _oracle_pass_pruned).
+    components (see _oracle_pass_pruned), and the first character found
+    goes through _verify_solution, as construct's answer does, so a linear
+    check that disagreed with local_component would raise
+    InternalContradictionError rather than be skipped.
     """
     _require_rational(instance)
     if cap < 1:
         raise ValidationError(f"bad search cap {cap}")
-    m = instance.m
-    report = special_case(instance.field, m, set(instance.places))
-    if exponent is None:
-        obstructed = report.occurs and obstruction_exponent(instance, report) != 0
-        mu = 2 * m if obstructed else m
-    else:
-        mu = exponent
-        if mu % m:
-            raise ValidationError("exponent must be a multiple of the instance exponent")
+    report, mu = _exponent(instance, exponent)
     block = _prescribed_block(instance, mu)
     for f, factors in _admissible_conductors(instance, mu, cap):
         if not _reaches_orders(factors, mu, block):
             continue
-        chi = _oracle_pass_pruned(instance, f, factors, mu, block)
+        chi = _oracle_pass_pruned(f, factors, mu, block)
         if chi is not None:
-            return GrunwaldSolution(chi, mu, report.occurs, (), conductor(chi))
+            solution = GrunwaldSolution(chi, mu, report.occurs, (), conductor(chi))
+            _verify_solution(instance, solution)
+            return solution
     raise NoSolutionBelowCap(f"no exponent-{mu} solution with conductor <= {cap}")
 
 

@@ -160,13 +160,16 @@ def test_place_error_says_not_a_prime(capsys):
     assert capsys.readouterr().err.strip() == "error: not a prime: 9"
 
 
-def test_exit_code_validation():
+def test_exit_code_validation(capsys):
     assert run(["construct", "--instance", "/nonexistent.json"]) == 2
     assert run(["powres", "--p", "4", "--l", "3"]) == 2
     assert run(["special-case", "--field", "Qsqrt:12", "--m", "8", "--S", ""]) == 2
     assert run(["least-prime", "--modulus", "5", "--exponents", "0"]) == 2  # trivial: no witness
     assert run(["nonsense-command"]) == 2
     assert run(["special-case", "--m", "8", "--S", "2,2"]) == 2  # duplicate place
+    capsys.readouterr()
+    assert run(["least-prime", "--modulus", "5", "--exponents", "1,x"]) == 2
+    assert capsys.readouterr().err == "error: cannot parse integer list '1,x'\n"
 
 
 def test_exit_code_search_cap(wang_file):
@@ -189,6 +192,9 @@ def test_bad_instance_payload(tmp_path, capsys):
     path.write_text('{"m": 8, "bogus": 1}')
     assert run(["construct", "--instance", str(path)]) == 2
     assert "unknown key 'bogus'" in capsys.readouterr().err
+    path.write_text('{"m": 8,')
+    assert run(["construct", "--instance", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: cannot parse instance file: ")
 
 
 def _child_env():

@@ -78,6 +78,10 @@ def test_factor_str():
     assert str(factor(544)) == "2^5*17"
     assert str(factor(1)) == "1"
     assert str(factor(30)) == "2*3*5"
+    # semiprimes whose factors both pass the trial-division primes (<= 1223)
+    # are split by Pollard rho
+    for p, q in ((1229, 1231), (10**6 + 3, 10**6 + 33), (2**30 - 35, 2**31 - 1)):
+        assert factor(p * q).factors == ((p, 1), (q, 1))
 
 
 def test_factored_integer_rejects_garbage():

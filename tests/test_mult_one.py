@@ -5,6 +5,7 @@ only evaluate(); the scan's per-conductor character lists are checked
 against the generic character iterator.
 """
 
+import dataclasses
 import io
 import math
 
@@ -139,6 +140,9 @@ def test_decile_maxima():
         d = min(9, (rec.conductor - 1) * 10 // 100)
         assert rec.ratio_c <= dec[d]
     assert max(dec) == max(rec.ratio_c for rec in records)
+    # a flagged record counts in no decile, whatever its ratios say
+    flagged = dataclasses.replace(records[0], ratio_c=1e9, cap_exceeded=True)
+    assert ratio_c_decile_maxima(records + [flagged], 100) == dec
 
 
 def test_csv_format():

@@ -382,6 +382,12 @@ def test_wang_unsolvable_at_exponent_eight():
         oracle_minimal(inst, 3000, exponent=8)
 
 
+def test_echelon_rejects_pivot_not_dividing_constant():
+    # 2x = 1 mod 4 has no solution: the pivot's valuation 1 does not divide 1
+    assert _echelon([[2]], [1], 2, 2) is None
+    assert _echelon([[2]], [2], 2, 2) is not None
+
+
 def test_truncated_minimisation_is_flagged():
     # m = 16, S = {3, 5, 7, 11}: the solution lattice has more than
     # _KERNEL_LIMIT elements, so the particular solution comes back as is
@@ -829,7 +835,7 @@ def test_order_test_rejects_only_empty_passes(m, spec, doubled):
         reaches = _reaches_orders(factors, mu, block)
         assert reaches == reference_reaches(inst, f, mu, block[1]), f
         if not reaches:
-            assert _oracle_pass_pruned(inst, f, factors, mu, block) is None, f
+            assert _oracle_pass_pruned(f, factors, mu, block) is None, f
 
 
 @pytest.mark.parametrize(
@@ -937,6 +943,16 @@ def test_instance_round_trip():
 
 
 def test_instance_from_dict_validation():
+    with pytest.raises(ValidationError, match="instance record must be a mapping"):
+        instance_from_dict([4])
+    with pytest.raises(ValidationError, match="bad exponent entry 'four'"):
+        instance_from_dict({"m": "four", "places": []})
+    with pytest.raises(ValidationError, match="place record must be a mapping"):
+        instance_from_dict({"m": 4, "places": [3]})
+    with pytest.raises(ValidationError, match="missing key 'place'"):
+        instance_from_dict({"m": 4, "places": [{"conductor_exponent": 1}]})
+    with pytest.raises(ValidationError, match="bad place record"):
+        instance_from_dict({"m": 4, "places": [{"place": 5, "conductor_exponent": "one"}]})
     with pytest.raises(ValidationError, match="missing key 'm'"):
         instance_from_dict({"places": []})
     with pytest.raises(ValidationError, match="unknown key"):
