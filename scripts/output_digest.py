@@ -17,7 +17,9 @@ and message):
   every S of at most four of the primes 2..13, with and without the real
   place;
 - `cli`: the cli-mix ops of the `cli-mix` workload for seeds 1-3, each
-  hashed as the `repr` of its (exit code, stdout) pair.
+  hashed as the `repr` of its (exit code, stdout) pair;
+- `powres`: `least_non_lth_power_modulus_with_order(p, l, r)` for every
+  prime p <= 47, l in {2, 3, 5, 7, 11, 13} and r >= 0 with l^r <= 200.
 
 Equal lines in two checkouts mean byte-identical outputs.  The package is
 imported from this checkout's `src/`, and the workloads are read from its
@@ -36,12 +38,16 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench"), str(ROOT / "scripts"
 import workloads  # noqa: E402
 from bounds_matrix import BASE, EXPONENTS, prescriptions  # noqa: E402
 from grunwald import construct, make_instance, oracle_minimal  # noqa: E402
-from grunwald.core_arith import Place  # noqa: E402
+from grunwald.core_arith import Place, primes_stream  # noqa: E402
+from grunwald.powres import least_non_lth_power_modulus_with_order  # noqa: E402
 from grunwald.solver import auxiliary_primes  # noqa: E402
 
 SEEDS = (1, 2, 3)
 AUX_EXPONENTS = (2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 32)
 AUX_PRIMES = (2, 3, 5, 7, 11, 13)
+POWRES_PRIMES = tuple(itertools.takewhile(lambda p: p <= 47, primes_stream()))
+POWRES_L = (2, 3, 5, 7, 11, 13)
+POWRES_TOP = 200
 
 
 def outcome(call):
@@ -94,6 +100,15 @@ def cli_lines(workdir):
         yield outcome(op.run)
 
 
+def powres_lines(workdir):
+    for p in POWRES_PRIMES:
+        for l in POWRES_L:
+            r = 0
+            while l**r <= POWRES_TOP:
+                yield outcome(lambda: least_non_lth_power_modulus_with_order(p, l, r))
+                r += 1
+
+
 def main():
     with tempfile.TemporaryDirectory() as workdir:
         for name, lines in (
@@ -101,6 +116,7 @@ def main():
             ("construct", construct_lines),
             ("auxiliary_primes", auxiliary_lines),
             ("cli", cli_lines),
+            ("powres", powres_lines),
         ):
             digest = hashlib.sha256()
             count = 0

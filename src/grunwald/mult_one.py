@@ -57,7 +57,6 @@ def least_nonsplit_prime(chi: DirichletCharacter, S=(), cap: int = 10**8) -> Pri
         t = evaluate(prim, p)
         if t:
             return PrimeWitness(p, p, t)
-    raise SearchCapError(f"no witness prime up to {cap}")
 
 
 def analytic_conductor_S(chi: DirichletCharacter, S=()) -> int:

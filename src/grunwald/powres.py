@@ -33,15 +33,6 @@ def _lth_powers(n: int, l: int) -> set[int]:
     return {pow(x, l, n) for x in range(1, n) if math.gcd(x, n) == 1}
 
 
-def _class_order(p: int, n: int, powers: set[int]) -> int:
-    x = p % n
-    j = 1
-    while x not in powers:
-        x = x * p % n
-        j += 1
-    return j
-
-
 def least_non_lth_power_modulus(p: int, l: int) -> PowerResidueAnswer:
     """Least N >= 2 with gcd(p, N) = 1 and p not an l-th power mod N."""
     return least_non_lth_power_modulus_with_order(p, l, 0)
@@ -60,5 +51,6 @@ def least_non_lth_power_modulus_with_order(p: int, l: int, r: int = 1) -> PowerR
         if math.gcd(p, n) == 1 and _phi(n) % l**r == 0:
             powers = _lth_powers(n, l)
             if p % n not in powers:
-                return PowerResidueAnswer(n, _phi(n), len(powers), _class_order(p, n, powers))
+                # (Z/n)*/(Z/n)*^l has exponent l, a prime, so p's class has order l
+                return PowerResidueAnswer(n, _phi(n), len(powers), l)
         n += 1

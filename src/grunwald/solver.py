@@ -1,14 +1,15 @@
 """Construction of global characters with prescribed local components.
 
 Given a prime-power exponent m and finitely many prescribed local
-characters, build a Dirichlet character realizing all of them at once:
+characters, build a Dirichlet character realizing all of them at once.
+First the exponent mu to solve at is decided (_exponent): the special case
+of Wang makes it 2m for obstructed data, and m otherwise; the instance is
+rescaled to mu once, and every later step reads mu as its exponent.  Then
 pick auxiliary primes that rigidify the relevant S-unit classes, assemble
-a cycle (the working modulus), and solve a linear system over Z/m for the
-exponent vector, returning the solution of least conductor mod the cycle
-(or, when the solution lattice exceeds _KERNEL_LIMIT elements, the
-particular solution, flagged minimised=False).  The special case of Wang
-is decided before solving; obstructed data transparently widens the
-exponent, the auxiliary primes and the cycle to 2m.
+a cycle (the working modulus), and solve a linear system over Z/mu for the
+exponent vector (_solve_mod), returning the solution of least conductor
+mod the cycle (or, when the solution lattice exceeds _KERNEL_LIMIT
+elements, the particular solution, flagged minimised=False).
 
 oracle_minimal is the independent ground truth: exhaustive enumeration of
 primitive characters by increasing conductor, sharing no search logic
@@ -77,7 +78,6 @@ class GrunwaldInstance:
 
     m: int
     local_characters: tuple[LocalCharacter, ...]
-    field: FieldDescriptor = FieldDescriptor.rationals()
 
     def __post_init__(self):
         prime_power(self.m)
@@ -101,7 +101,7 @@ class GrunwaldInstance:
         return tuple(p.prime for p in self.places if not p.is_real)
 
 
-def make_instance(m: int, local_characters, field: FieldDescriptor | None = None):
+def make_instance(m: int, local_characters):
     """Normalize prescribed characters to exponent modulus m and sort them."""
     prime_power(m)
     rebuilt = []
@@ -116,9 +116,7 @@ def make_instance(m: int, local_characters, field: FieldDescriptor | None = None
             local_character(psi.place, m, psi.conductor_exponent, exps, unif)
         )
     rebuilt.sort(key=lambda s: s.place.sort_key())
-    return GrunwaldInstance(
-        m, tuple(rebuilt), field if field is not None else FieldDescriptor.rationals()
-    )
+    return GrunwaldInstance(m, tuple(rebuilt))
 
 
 def _rescale(t: int, old: int, new: int, place: Place) -> int:
@@ -146,11 +144,6 @@ class GrunwaldSolution:
         return conductor(self.character).norm
 
 
-def _require_rational(instance: GrunwaldInstance) -> None:
-    if not instance.field.is_rational:
-        raise ValidationError("solving is implemented over Q only")
-
-
 def p_star_basis(m: int, S) -> tuple[int, ...]:
     """Generators of the S-units-mod-m-th-powers group: -1 (m even) and S."""
     prime_power(m)
@@ -169,7 +162,7 @@ def auxiliary_primes(m: int, S) -> tuple[int, ...]:
     subgroup, kept as at most |basis| generators.  A prime q is chosen
     when the power map G -> F_q*/F_q*^m = Z/g, g = gcd(m, q - 1), is
     nonzero on some generator; one least-valuation pivot step (as in
-    _echelon) then replaces the generators by ones of the kernel.  The
+    _solve_mod) then replaces the generators by ones of the kernel.  The
     values of that map are read from core_arith.power_residue_table, the
     table the oracle reads; its zeta is the canonical generator's power,
     but any primitive g-th root would do, since another one multiplies
@@ -242,12 +235,12 @@ def auxiliary_primes(m: int, S) -> tuple[int, ...]:
     return tuple(chosen)
 
 
-def build_cycle(instance: GrunwaldInstance, aux, exponent: int | None = None) -> CycleValue:
-    """The working modulus: product of the prescribed conductors, the
-    l-power headroom l^(rho+2), and one factor per auxiliary prime."""
-    mu = exponent if exponent is not None else instance.m
-    l, _ = prime_power(instance.m)
-    rho = valuation(mu, l)
+def build_cycle(instance: GrunwaldInstance, aux) -> CycleValue:
+    """The working modulus for the instance's exponent m = l^rho: product
+    of the prescribed conductors, the l-power headroom l^(rho+2), and one
+    factor per auxiliary prime.  For obstructed data pass the instance
+    _exponent rescales to 2m, as construct does."""
+    l, rho = prime_power(instance.m)
     exps: dict[int, int] = {}
     for psi in instance.local_characters:
         if psi.place.is_real or psi.conductor_exponent == 0:
@@ -266,7 +259,7 @@ def build_cycle(instance: GrunwaldInstance, aux, exponent: int | None = None) ->
 def obstruction_exponent(instance: GrunwaldInstance, report=None) -> int:
     """Zeta-exponent of the product of prescribed values at a0 (0 = unobstructed)."""
     if report is None:
-        report = special_case(instance.field, instance.m, set(instance.places))
+        report = special_case(FieldDescriptor.rationals(), instance.m, set(instance.places))
     if not report.occurs:
         return 0
     return (
@@ -276,40 +269,44 @@ def obstruction_exponent(instance: GrunwaldInstance, report=None) -> int:
 
 
 def _exponent(instance: GrunwaldInstance, exponent: int | None):
-    """(report, mu): the Wang report for the prescribed places and the
-    exponent to solve at.  With exponent None that is the Wang dichotomy,
-    2m for obstructed data and m otherwise; an explicit exponent must be a
-    multiple of m."""
+    """(report, instance at mu): the Wang report for the prescribed places,
+    and the instance rescaled to the exponent mu to solve at.  With
+    exponent None mu is the Wang dichotomy, 2m for obstructed data and m
+    otherwise; an explicit exponent must be a multiple of m.  When mu = m
+    the instance itself comes back, not a rebuilt copy."""
     m = instance.m
-    report = special_case(instance.field, m, set(instance.places))
+    report = special_case(FieldDescriptor.rationals(), m, set(instance.places))
     if exponent is None:
         obstructed = report.occurs and obstruction_exponent(instance, report) != 0
-        return report, 2 * m if obstructed else m
-    if exponent % m:
+        exponent = 2 * m if obstructed else m
+    elif exponent % m:
         raise ValidationError("exponent must be a multiple of the instance exponent")
-    return report, exponent
+    if exponent == m:
+        return report, instance
+    return report, make_instance(exponent, instance.local_characters)
 
 
-def _checks(instance: GrunwaldInstance, mu: int) -> list[tuple[int, int]]:
-    """One (x, want) per prescribed place, in order: an exponent-mu
-    character meets the place's uniformizer value (x = p), resp. sign
-    (x = -1), when its exponent vector dotted with the discrete logs of x
-    is want mod mu."""
-    scale = mu // instance.m
+def _checks(instance: GrunwaldInstance) -> list[tuple[int, int]]:
+    """One (x, want) per prescribed place, in order: a character of the
+    instance's exponent mu meets the place's uniformizer value (x = p),
+    resp. sign (x = -1), when its exponent vector dotted with the discrete
+    logs of x is want mod mu."""
+    mu = instance.m
     return [
         (-1, psi.sign_exponent * (mu // 2) % mu)
         if psi.place.is_real
-        else (psi.place.prime, scale * psi.uniformizer_exponent % mu)
+        else (psi.place.prime, psi.uniformizer_exponent % mu)
         for psi in instance.local_characters
     ]
 
 
-def _assemble_rows(instance: GrunwaldInstance, M: int, mu: int):
-    """Linear constraints mod mu on the exponent vector of a character mod M."""
+def _assemble_rows(instance: GrunwaldInstance, M: int):
+    """Linear constraints mod mu = instance.m on the exponent vector of a
+    character mod M."""
+    mu = instance.m
     comps = components(M)
     ug = unit_group(M)
     n = len(ug.generators)
-    scale = mu // instance.m
     rows: list[list[int]] = []
     rhs: list[int] = []
     for i, o in enumerate(ug.orders):
@@ -317,7 +314,7 @@ def _assemble_rows(instance: GrunwaldInstance, M: int, mu: int):
         row[i] = o % mu
         rows.append(row)
         rhs.append(0)
-    for psi, (x, want) in zip(instance.local_characters, _checks(instance, mu)):
+    for psi, (x, want) in zip(instance.local_characters, _checks(instance)):
         row = [0] * n
         for c in comps:
             if c.prime == x:
@@ -326,7 +323,7 @@ def _assemble_rows(instance: GrunwaldInstance, M: int, mu: int):
                     unit = [0] * n
                     unit[c.offset + h] = 1
                     rows.append(unit)
-                    rhs.append((-scale * evaluate_local(psi, Fraction(g))) % mu)
+                    rhs.append(-evaluate_local(psi, Fraction(g)) % mu)
                 continue
             for h, e in enumerate(dlog_units(c.prime_power, x)):
                 row[c.offset + h] = e % mu
@@ -335,12 +332,18 @@ def _assemble_rows(instance: GrunwaldInstance, M: int, mu: int):
     return rows, rhs
 
 
-def _echelon(rows, rhs, l: int, rho: int):
-    """Row-reduce mod l^rho picking globally minimal-valuation pivots.
+def _solve_mod(rows, rhs, l: int, rho: int):
+    """The solutions of rows . x = rhs mod mu = l^rho, as (part, basis,
+    ranges): the points part + sum c_i basis_i, 0 <= c_i < ranges_i; or
+    None when there is none.
 
-    Pivot rows are frozen once selected, so every entry of a pivot row in
-    a not-yet-used column keeps valuation >= the pivot's; consistency then
-    depends only on the constant column, never on branch choices.
+    Row reduction picks globally minimal-valuation pivots.  Pivot rows are
+    frozen once selected, so every entry of a pivot row in a not-yet-used
+    column keeps valuation >= the pivot's; consistency then depends only
+    on the constant column, never on branch choices.  Back substitution
+    gives part (free columns 0), one basis vector per free column (range
+    mu), and one per pivot of valuation v > 0 (range l^v): the l^(rho-v)
+    multiples its division by l^v leaves open.
     """
     mu = l**rho
     A = [[x % mu for x in row] for row in rows]
@@ -392,40 +395,28 @@ def _echelon(rows, rhs, l: int, rho: int):
     for i, _, v in pivots:
         if b[i] % (l**v):
             return None
-    return A, b, pivots, used_cols
 
+    def backsub(target, free_col=None, branch=None):
+        x = [0] * n
+        if free_col is not None:
+            x[free_col] = 1
+        for t in range(len(pivots) - 1, -1, -1):
+            i, j, v = pivots[t]
+            R = (target[i] - sum(A[i][c] * x[c] for c in range(n) if c != j)) % mu
+            if R % (l**v):
+                raise InternalContradictionError("branch-dependent inconsistency")
+            x[j] = (R // (l**v) + (l ** (rho - v) if t == branch else 0)) % mu
+        return x
 
-def _backsub(A, b, pivots, free_vals, branch_vals, l, rho, n):
-    mu = l**rho
-    x = [0] * n
-    for j, val in free_vals.items():
-        x[j] = val % mu
-    for t in range(len(pivots) - 1, -1, -1):
-        i, j, v = pivots[t]
-        R = (b[i] - sum(A[i][c] * x[c] for c in range(n) if c != j)) % mu
-        if R % (l**v):
-            raise InternalContradictionError("branch-dependent inconsistency")
-        x[j] = (R // (l**v) + branch_vals.get(t, 0) * l ** (rho - v)) % mu
-    return x
-
-
-def _solution_lattice(A, b, pivots, used_cols, l, rho, n):
-    """Particular solution plus a basis of the kernel with branch ranges."""
-    mu = l**rho
-    free_cols = [j for j in range(n) if j not in used_cols]
     zero_b = [0] * len(b)
-    part = _backsub(A, b, pivots, {}, {}, l, rho, n)
-    basis = []
-    ranges = []
-    for j in free_cols:
-        basis.append(_backsub(A, zero_b, pivots, {j: 1}, {}, l, rho, n))
-        ranges.append(mu)
+    free_cols = [j for j in range(n) if j not in used_cols]
+    basis = [backsub(zero_b, free_col=j) for j in free_cols]
+    ranges = [mu] * len(free_cols)
     for t, (_, _, v) in enumerate(pivots):
-        if v == 0:
-            continue
-        basis.append(_backsub(A, zero_b, pivots, {}, {t: 1}, l, rho, n))
-        ranges.append(l**v)
-    return part, basis, ranges
+        if v:
+            basis.append(backsub(zero_b, branch=t))
+            ranges.append(l**v)
+    return backsub(b), basis, ranges
 
 
 def _minimal_candidate(part, basis, ranges, M, mu):
@@ -500,31 +491,30 @@ def solve_character(
     aux_primes=(),
     exponent: int | None = None,
 ) -> GrunwaldSolution:
-    """Solve for a character mod the cycle matching all prescribed data.
+    """Solve for a character mod the given cycle matching all prescribed data.
 
-    With exponent None the Wang dichotomy is decided first: obstructed
-    data replaces the supplied cycle and auxiliary primes by ones rebuilt
-    for exponent 2m.  An explicit exponent skips that decision (used by
-    tests to demonstrate infeasibility at the unwidened exponent).
+    The exponent is the one _exponent decides: with exponent None the Wang
+    dichotomy, so obstructed data is solved at 2m, and the cycle must have
+    been built for 2m (construct does that).  An explicit exponent skips
+    the decision (used by tests to demonstrate infeasibility at the
+    unwidened exponent).
     """
-    _require_rational(instance)
-    report, mu = _exponent(instance, exponent)
-    aux = tuple(aux_primes)
-    if exponent is None and mu != instance.m:
-        aux = auxiliary_primes(mu, set(instance.places))
-        cycle = build_cycle(instance, aux, exponent=mu)
+    report, inst = _exponent(instance, exponent)
+    return _solve(report, inst, cycle, tuple(aux_primes))
+
+
+def _solve(report, instance: GrunwaldInstance, cycle: CycleValue, aux) -> GrunwaldSolution:
+    """The minimal character mod the cycle for an instance already at the
+    exponent mu = instance.m that _exponent decided, with its report."""
+    mu = instance.m
     l, rho = prime_power(mu)
     M = cycle.finite_part.value
-    rows, rhs = _assemble_rows(instance, M, mu)
-    reduced = _echelon(rows, rhs, l, rho)
-    if reduced is None:
+    lattice = _solve_mod(*_assemble_rows(instance, M), l, rho)
+    if lattice is None:
         raise InternalContradictionError(
             f"no exponent-{mu} character exists modulo the cycle {cycle}"
         )
-    A, b, pivots, used_cols = reduced
-    n = len(rows[0]) if rows else 0
-    part, basis, ranges = _solution_lattice(A, b, pivots, used_cols, l, rho, n)
-    vec, minimised = _minimal_candidate(part, basis, ranges, M, mu)
+    vec, minimised = _minimal_candidate(*lattice, M, mu)
     chi = primitivize(DirichletCharacter(M, mu, tuple(vec)))
     solution = GrunwaldSolution(chi, mu, report.occurs, aux, cycle, minimised)
     _verify_solution(instance, solution)
@@ -545,12 +535,11 @@ def _verify_solution(instance: GrunwaldInstance, solution: GrunwaldSolution) -> 
 
 
 def construct(instance: GrunwaldInstance) -> GrunwaldSolution:
-    """Auxiliary primes, then cycle, then the minimal character mod it."""
-    _require_rational(instance)
-    S = set(instance.places)
-    aux = auxiliary_primes(instance.m, S)
-    cycle = build_cycle(instance, aux)
-    return solve_character(instance, cycle, aux_primes=aux)
+    """The exponent mu first, then the auxiliary primes and the cycle at
+    mu, then the minimal character mod the cycle."""
+    report, inst = _exponent(instance, None)
+    aux = auxiliary_primes(inst.m, set(inst.places))
+    return _solve(report, inst, build_cycle(inst, aux), aux)
 
 
 _SIEVE_FIRST_BLOCK = 1 << 6
@@ -568,10 +557,10 @@ def _prescribed_head(instance: GrunwaldInstance) -> tuple[tuple[int, int], ...]:
     )
 
 
-def _admissible_conductors(instance: GrunwaldInstance, mu: int, cap: int):
+def _admissible_conductors(instance: GrunwaldInstance, cap: int):
     """Yield (f, factorization) for every conductor f <= cap a primitive
-    exponent-mu character with the prescribed local data could have, in
-    increasing order.
+    character of the instance's exponent mu with the prescribed local data
+    could have, in increasing order.
 
     f = F0 * g: F0 fixes the prescribed conductor exponents, g is coprime
     to S and built from q^1 (q odd, gcd(mu, q-1) > 1), l^a (l odd,
@@ -580,6 +569,7 @@ def _admissible_conductors(instance: GrunwaldInstance, mu: int, cap: int):
     wide and double up to _SIEVE_BLOCK, so a search that stops early
     sieves little past where it stops.
     """
+    mu = instance.m
     l_mu, r_mu = prime_power(mu)
     s_primes = set(instance.finite_primes)
     head = _prescribed_head(instance)
@@ -640,11 +630,12 @@ def _admissible_conductors(instance: GrunwaldInstance, mu: int, cap: int):
         lo, width = hi, min(2 * width, _SIEVE_BLOCK)
 
 
-def _prescribed_block(instance: GrunwaldInstance, mu: int):
+def _prescribed_block(instance: GrunwaldInstance):
     """The F0 part of every oracle pass, computed once per search.
 
     Returns (fixed, targets, orders).  fixed maps each ramified prescribed
-    prime p to its only possible unit slot, (-scale * t) mod mu.  targets
+    prime p to its only possible unit slot, (-t) mod mu for each unit
+    exponent t at the instance's exponent mu.  targets
     has one (x, want) per check of _checks, want less what the fixed slots
     contribute to it.  F0's components carry the same generators in
     every f = F0 * g, since dlog_units(p^k, x) depends only on p^k, so
@@ -652,15 +643,13 @@ def _prescribed_block(instance: GrunwaldInstance, mu: int):
     check whose want has additive order n > 1 in Z/mu, mu = l^r: the input
     of _reaches_orders.
     """
+    mu = instance.m
     l, _ = prime_power(mu)
-    scale = mu // instance.m
     head = _prescribed_head(instance)
     by_prime = {psi.place.prime: psi for psi in instance.local_characters}
-    fixed = {
-        p: tuple((-scale * t) % mu for t in by_prime[p].unit_exponents) for p, _ in head
-    }
+    fixed = {p: tuple(-t % mu for t in by_prime[p].unit_exponents) for p, _ in head}
     targets = []
-    for x, want in _checks(instance, mu):
+    for x, want in _checks(instance):
         for p, k in head:
             if p != x:
                 want -= sum(e * t for e, t in zip(dlog_units(p**k, x), fixed[p]))
@@ -801,18 +790,18 @@ def oracle_minimal(
     check that disagreed with local_component would raise
     InternalContradictionError rather than be skipped.
     """
-    _require_rational(instance)
     if cap < 1:
         raise ValidationError(f"bad search cap {cap}")
-    report, mu = _exponent(instance, exponent)
-    block = _prescribed_block(instance, mu)
-    for f, factors in _admissible_conductors(instance, mu, cap):
+    report, inst = _exponent(instance, exponent)
+    mu = inst.m
+    block = _prescribed_block(inst)
+    for f, factors in _admissible_conductors(inst, cap):
         if not _reaches_orders(factors, mu, block):
             continue
         chi = _oracle_pass_pruned(f, factors, mu, block)
         if chi is not None:
             solution = GrunwaldSolution(chi, mu, report.occurs, (), conductor(chi))
-            _verify_solution(instance, solution)
+            _verify_solution(inst, solution)
             return solution
     raise NoSolutionBelowCap(f"no exponent-{mu} solution with conductor <= {cap}")
 
@@ -906,9 +895,8 @@ def instance_from_dict(data: dict) -> GrunwaldInstance:
         m = int(data["m"])
     except (TypeError, ValueError):
         raise ValidationError(f"bad exponent entry {data['m']!r}") from None
-    field = (
-        FieldDescriptor.parse(data["field"]) if "field" in data else FieldDescriptor.rationals()
-    )
+    if "field" in data and not FieldDescriptor.parse(data["field"]).is_rational:
+        raise ValidationError("solving is implemented over Q only")
     chars = []
     for rec in data.get("places", []):
         if not isinstance(rec, dict):
@@ -932,7 +920,7 @@ def instance_from_dict(data: dict) -> GrunwaldInstance:
             )
         except (TypeError, ValueError):
             raise ValidationError(f"bad place record {rec!r}") from None
-    return make_instance(m, chars, field)
+    return make_instance(m, chars)
 
 
 def instance_to_dict(instance: GrunwaldInstance) -> dict:
@@ -947,7 +935,4 @@ def instance_to_dict(instance: GrunwaldInstance) -> dict:
                 "sign_exponent": psi.sign_exponent,
             }
         )
-    out = {"m": instance.m, "places": places}
-    if not instance.field.is_rational:
-        out["field"] = f"Qsqrt:{instance.field.d}"
-    return out
+    return {"m": instance.m, "places": places}

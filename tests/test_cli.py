@@ -46,7 +46,7 @@ def test_special_case_irrational_a0(capsys):
     assert "a0_coords=9232+6528*sqrt(2)" in out
 
 
-def test_construct_wang(capsys, wang_file):
+def test_construct_wang(capsys, wang_file, tmp_path):
     assert run(["construct", "--instance", wang_file]) == 0
     out = lines(capsys)
     assert "modulus=544" in out
@@ -55,6 +55,11 @@ def test_construct_wang(capsys, wang_file):
     assert "special_case=true" in out
     assert "aux_primes=3,5,17" in out
     assert "cycle=2^11*3*5*17*infinity" in out
+    # an explicit "field": "Q" solves exactly as no field does
+    path = tmp_path / "wang_q.json"
+    path.write_text(json.dumps({**WANG, "field": "Q"}))
+    assert run(["construct", "--instance", str(path)]) == 0
+    assert lines(capsys) == out
 
 
 def test_construct_oracle_method(capsys, wang_file):
@@ -195,6 +200,13 @@ def test_bad_instance_payload(tmp_path, capsys):
     path.write_text('{"m": 8,')
     assert run(["construct", "--instance", str(path)]) == 2
     assert capsys.readouterr().err.startswith("error: cannot parse instance file: ")
+    # a quadratic field parses but is refused; a malformed one fails to parse
+    path.write_text(json.dumps({**WANG, "field": "Qsqrt:5"}))
+    assert run(["construct", "--instance", str(path)]) == 2
+    assert capsys.readouterr().err == "error: solving is implemented over Q only\n"
+    path.write_text(json.dumps({**WANG, "field": "Qsqrt:4"}))
+    assert run(["construct", "--instance", str(path)]) == 2
+    assert capsys.readouterr().err == "error: cannot parse field 'Qsqrt:4'\n"
 
 
 def _child_env():

@@ -37,6 +37,18 @@ def brute_least(p, l, r=0):
         N += 1
 
 
+def brute_certificate(p, l, N):
+    """(phi, power count, class order) mod N from the definitions; the
+    order of p's class is found by walking p, p^2, ... to an l-th power."""
+    units = [a for a in range(1, N + 1) if math.gcd(a, N) == 1]
+    powers = {pow(a, l, N) for a in units}
+    order, x = 1, p % N
+    while x not in powers:
+        x = x * p % N
+        order += 1
+    return len(units), len(powers), order
+
+
 @pytest.mark.parametrize("p,l,want", [(2, 3, 7), (2, 2, 3), (3, 2, 4)])
 def test_fixtures(p, l, want):
     ans = least_non_lth_power_modulus(p, l)
@@ -61,12 +73,16 @@ def test_certificate_contents():
 @pytest.mark.parametrize("p", PRIMES)
 @pytest.mark.parametrize("l", PRIMES)
 def test_matches_brute_matrix(p, l):
-    assert least_non_lth_power_modulus(p, l).modulus == brute_least(p, l)
+    ans = least_non_lth_power_modulus(p, l)
+    assert ans.modulus == brute_least(p, l)
+    assert (ans.phi, ans.power_count, ans.class_order) == brute_certificate(p, l, ans.modulus)
 
 
 @pytest.mark.parametrize("p,l,r", [(2, 2, 2), (2, 2, 3), (3, 3, 2), (5, 2, 2), (2, 3, 2)])
 def test_matches_brute_with_order(p, l, r):
-    assert least_non_lth_power_modulus_with_order(p, l, r).modulus == brute_least(p, l, r)
+    ans = least_non_lth_power_modulus_with_order(p, l, r)
+    assert ans.modulus == brute_least(p, l, r)
+    assert (ans.phi, ans.power_count, ans.class_order) == brute_certificate(p, l, ans.modulus)
 
 
 @pytest.mark.parametrize("p", PRIMES)

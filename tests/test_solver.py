@@ -61,12 +61,12 @@ from grunwald.solver import (
     _admissible_conductors,
     _assemble_rows,
     _component_reach,
-    _echelon,
+    _exponent,
     _minimal_candidate,
     _oracle_pass_pruned,
     _prescribed_block,
     _reaches_orders,
-    _solution_lattice,
+    _solve_mod,
 )
 
 INF = Place(None)
@@ -336,7 +336,7 @@ def test_aux_primes_are_fresh_primes():
 def test_build_cycle_wang():
     inst = make_instance(8, [WANG_PSI])
     aux = auxiliary_primes(16, places(2))
-    cyc = build_cycle(inst, aux, exponent=16)
+    cyc = build_cycle(make_instance(16, [WANG_PSI]), aux)
     assert str(cyc) == "2^11*3*5*17*infinity"
     assert cyc.norm == 2**11 * 3 * 5 * 17
 
@@ -352,6 +352,24 @@ def test_build_cycle_empty_odd():
 def test_wang_instance_is_obstructed():
     inst = make_instance(8, [WANG_PSI])
     assert obstruction_exponent(inst) == 4  # chi_2(16) = zeta_8^4 = -1
+    report, at_mu = _exponent(inst, None)
+    assert report.occurs
+    assert at_mu == make_instance(16, [WANG_PSI])
+
+
+@pytest.mark.parametrize(
+    "inst",
+    [
+        make_instance(8, [unramified_local(3, 8, 1)]),
+        make_instance(8, [unramified_local(2, 8, 2)]),  # special case, unobstructed
+        make_instance(3, []),
+    ],
+)
+def test_exponent_keeps_unobstructed_instance(inst):
+    # the common path solves the instance as it stands: no rebuild at m
+    report, at_mu = _exponent(inst, None)
+    assert at_mu is inst
+    assert _exponent(inst, inst.m)[1] is inst
 
 
 def test_wang_solution_conductor_544():
@@ -364,6 +382,9 @@ def test_wang_solution_conductor_544():
     assert conductor(sol.character).norm == 544
     got = local_component(sol.character, Place(2))
     assert got == WANG_PSI  # scale-invariant comparison at exponent 16
+    # solve_character solves at 16 in the cycle it is given, built at 16
+    cycle = build_cycle(make_instance(16, [WANG_PSI]), sol.aux_primes)
+    assert solve_character(inst, cycle, sol.aux_primes) == sol
 
 
 def test_wang_oracle_agrees_at_doubled_exponent():
@@ -378,14 +399,20 @@ def test_wang_unsolvable_at_exponent_eight():
     cyc = build_cycle(inst, aux)
     with pytest.raises(InternalContradictionError):
         solve_character(inst, cyc, aux, exponent=8)
+    # the exponent is still decided as 16, but the m-cycle is not swapped
+    with pytest.raises(
+        InternalContradictionError,
+        match=r"no exponent-16 character exists modulo the cycle 2\^10\*3\*5\*infinity",
+    ):
+        solve_character(inst, cyc, aux)
     with pytest.raises(NoSolutionBelowCap):
         oracle_minimal(inst, 3000, exponent=8)
 
 
 def test_echelon_rejects_pivot_not_dividing_constant():
     # 2x = 1 mod 4 has no solution: the pivot's valuation 1 does not divide 1
-    assert _echelon([[2]], [1], 2, 2) is None
-    assert _echelon([[2]], [2], 2, 2) is not None
+    assert _solve_mod([[2]], [1], 2, 2) is None
+    assert _solve_mod([[2]], [2], 2, 2) is not None
 
 
 def test_truncated_minimisation_is_flagged():
@@ -494,9 +521,8 @@ def test_minimal_candidate_deep_lattice():
     inst = make_instance(27, chars)
     cycle = build_cycle(inst, auxiliary_primes(27, set(inst.places)))
     M = cycle.finite_part.value
-    rows, rhs = _assemble_rows(inst, M, 27)
-    A, b, pivots, used = _echelon(rows, rhs, 3, 3)
-    part, basis, ranges = _solution_lattice(A, b, pivots, used, 3, 3, len(rows[0]))
+    rows, rhs = _assemble_rows(inst, M)
+    part, basis, ranges = _solve_mod(rows, rhs, 3, 3)
     assert math.prod(ranges) == 3**10
     got = _minimal_candidate(part, basis, ranges, M, 27)
     assert got == reference_minimal_candidate(part, basis, ranges, M, 27)
@@ -719,7 +745,7 @@ def f0_of(instance):
 
 
 def assert_admissible_matches(instance, mu, cap):
-    got = list(_admissible_conductors(instance, mu, cap))
+    got = list(_admissible_conductors(make_instance(mu, instance.local_characters), cap))
     facs = [(f, factor(f).factors) for f in range(1, cap + 1)]
     assert got == [(f, fac) for f, fac in facs if reference_filter(instance, fac, mu)]
 
@@ -790,10 +816,10 @@ def test_admissible_conductors_span_sieve_blocks(m, spec):
     # reference_filter demands the prescribed exponents, so F0 divides f
     want = [(f, factor(f).factors) for f in range(f0, top + 1, f0)]
     want = [(f, fac) for f, fac in want if reference_filter(inst, fac, m)]
-    assert list(_admissible_conductors(inst, m, top)) == want
+    assert list(_admissible_conductors(inst, top)) == want
     for g in sieve_block_ends():
         for cap in (f0 * (g - 1), f0 * g, f0 * (g + 1)):
-            got = list(_admissible_conductors(inst, m, cap))
+            got = list(_admissible_conductors(inst, cap))
             assert got == [(f, fac) for f, fac in want if f <= cap], (g, cap)
 
 
@@ -830,8 +856,9 @@ def test_order_test_rejects_only_empty_passes(m, spec, doubled):
     # the slot subgroups say, and no character of a rejected f passes
     inst = admissible_instance(m, spec)
     mu = 2 * m if doubled and m % 2 == 0 else m
-    block = _prescribed_block(inst, mu)
-    for f, factors in _admissible_conductors(inst, mu, f0_of(inst) * 300):
+    at_mu = make_instance(mu, inst.local_characters)
+    block = _prescribed_block(at_mu)
+    for f, factors in _admissible_conductors(at_mu, f0_of(inst) * 300):
         reaches = _reaches_orders(factors, mu, block)
         assert reaches == reference_reaches(inst, f, mu, block[1]), f
         if not reaches:
@@ -854,7 +881,7 @@ def test_order_test_is_tight(inst, least, free):
     # order, so a strict comparison, or a symbol raised one power of l too
     # far, would skip it and the oracle would answer a larger conductor
     mu = inst.m
-    block = _prescribed_block(inst, mu)
+    block = _prescribed_block(inst)
     assert [n for _, n, _ in block[2]] == [_component_reach(*free, mu, x) for x, _, _ in block[2]]
     want = full_oracle(inst, 200)
     assert conductor(want).norm == least == free[0] ** free[1]
@@ -874,10 +901,10 @@ def test_order_test_without_targets_keeps_every_conductor():
             sign_local(m, 1),
         ],
     )
-    block = _prescribed_block(inst, m)
+    block = _prescribed_block(inst)
     assert [want for _, want in block[1]] == [0, 0, 0]
     assert block[2] == ()
-    assert all(_reaches_orders(fac, m, block) for _, fac in _admissible_conductors(inst, m, 2000))
+    assert all(_reaches_orders(fac, m, block) for _, fac in _admissible_conductors(inst, 2000))
     assert oracle_minimal(inst, 200).character == full_oracle(inst, 200)
 
 
