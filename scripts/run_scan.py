@@ -25,7 +25,7 @@ def main() -> None:
     flagged = 0
     # running max of least prime, ratio_A, ratio_B over clean records
     max_p, max_a, max_b = 0, 0.0, 0.0
-    deciles = [0.0] * 10  # running ratio_C maxima, as ratio_c_decile_maxima
+    deciles = [0.0] * 10  # running ratio_C maxima per conductor decile
 
     def tally(records):
         nonlocal flagged, max_p, max_a, max_b

@@ -9,23 +9,16 @@ from .characters import (
     CycleValue,
     DirichletCharacter,
     LocalCharacter,
-    character_from_dict,
     character_order,
-    character_to_dict,
     conductor,
     evaluate,
     evaluate_local,
-    field_discriminant,
-    iter_characters,
     local_character,
     local_component,
     make_dirichlet,
-    pow_character,
     primitivize,
     sign_local,
-    trivial_character,
     unramified_local,
-    verify_product_formula,
 )
 from .core_arith import (
     FactoredInteger,
@@ -34,9 +27,7 @@ from .core_arith import (
     factor,
     is_mth_power_rational,
     is_prime,
-    is_square_in_2adic_quadratic,
     is_square_in_quadratic_field,
-    lth_power_test_local,
     primes_stream,
     unit_group,
     valuation,
@@ -54,9 +45,7 @@ from .mult_one import (
     CSV_HEADER,
     PrimeWitness,
     ScanRecord,
-    analytic_conductor_S,
     least_nonsplit_prime,
-    ratio_c_decile_maxima,
     scan_family,
     write_scan_csv,
 )
@@ -84,11 +73,8 @@ from .solver import (
 from .wang_special import (
     FieldDescriptor,
     SpecialCaseReport,
-    is_mth_power_in_qp,
-    membership_P_m_S,
     s_invariant,
     special_case,
-    witness_prime,
 )
 
 __version__ = "0.1.0"

@@ -11,7 +11,6 @@ flip the sign in exactly two places below.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -147,10 +146,6 @@ class LocalCharacter:
     def __hash__(self):
         return hash(self._key())
 
-    @property
-    def is_ramified(self) -> bool:
-        return self.conductor_exponent > 0
-
 
 def local_character(
     place: Place,
@@ -227,10 +222,6 @@ def make_dirichlet(N: int, exponents, m: int) -> DirichletCharacter:
     return DirichletCharacter(N, m, tuple(t % m for t in exponents))
 
 
-def trivial_character(N: int = 1, m: int = 1) -> DirichletCharacter:
-    return DirichletCharacter(N, m, tuple(0 for _ in unit_group(N).orders))
-
-
 def evaluate(chi: DirichletCharacter, n: int) -> int | None:
     """Zeta-exponent of chi(n), or None for the extended-by-zero values."""
     if math.gcd(n, chi.modulus) != 1:
@@ -244,11 +235,6 @@ def character_order(chi: DirichletCharacter) -> int:
     for t in chi.exponents:
         g = math.gcd(g, t)
     return chi.exponent_modulus // g
-
-
-def pow_character(chi: DirichletCharacter, j: int) -> DirichletCharacter:
-    m = chi.exponent_modulus
-    return DirichletCharacter(chi.modulus, m, tuple(t * j % m for t in chi.exponents))
 
 
 def conductor_exponents(chi: DirichletCharacter) -> tuple[tuple[int, int], ...]:
@@ -331,66 +317,3 @@ def evaluate_local(chi_v: LocalCharacter, x: Fraction) -> int:
         vec = dlog_units(p**k, u)
         total += sum(t * e for t, e in zip(chi_v.unit_exponents, vec))
     return total % m
-
-
-def verify_product_formula(chi: DirichletCharacter, x: Fraction) -> bool:
-    """Check that the local values of x sum to zero (chi trivial on Q^*)."""
-    x = Fraction(x)
-    if x == 0:
-        raise ValidationError("product formula at zero")
-    primes = {p for p, _ in conductor(chi).finite_part.factors}
-    primes |= {p for p, _ in factor(abs(x.numerator)).factors}
-    primes |= {p for p, _ in factor(x.denominator).factors}
-    total = evaluate_local(local_component(chi, Place.real()), x)
-    for p in sorted(primes):
-        total += evaluate_local(local_component(chi, Place.finite(p)), x)
-    return total % chi.exponent_modulus == 0
-
-
-def field_discriminant(chi: DirichletCharacter) -> int:
-    """Discriminant of the abelian field cut out by chi (conductor product)."""
-    prim = primitivize(chi)
-    return math.prod(
-        conductor(pow_character(prim, i)).norm for i in range(character_order(prim))
-    )
-
-
-def iter_characters(N: int, exponent: int | None = None, primitive_only: bool = False):
-    """All characters mod N of exponent dividing `exponent`, in lex order.
-
-    exponent None means every character (exponent lcm of the generator
-    orders).  With primitive_only, only those of conductor exactly N.
-    """
-    orders = unit_group(N).orders
-    mu = exponent if exponent is not None else math.lcm(1, *orders)
-    if primitive_only:
-        slots = [s for c in components(N) for s in primitive_slots(c, mu)]
-    else:
-        slots = [range(0, mu, mu // math.gcd(mu, o)) for o in orders]
-    for combo in itertools.product(*slots):
-        yield DirichletCharacter(N, mu, combo)
-
-
-_CHARACTER_KEYS = {"modulus", "exponent_modulus", "exponents"}
-
-
-def character_to_dict(chi: DirichletCharacter) -> dict:
-    return {
-        "modulus": chi.modulus,
-        "exponent_modulus": chi.exponent_modulus,
-        "exponents": list(chi.exponents),
-    }
-
-
-def character_from_dict(data: dict) -> DirichletCharacter:
-    for key in data:
-        if key not in _CHARACTER_KEYS:
-            raise ValidationError(f"unknown key '{key}'")
-    try:
-        return make_dirichlet(
-            int(data["modulus"]),
-            [int(t) for t in data["exponents"]],
-            int(data["exponent_modulus"]),
-        )
-    except KeyError as missing:
-        raise ValidationError(f"missing key {missing}") from None

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from .characters import (
     DirichletCharacter,
     character_order,
-    conductor,
     evaluate,
     primitive_slots,
     primitivize,
@@ -57,12 +56,6 @@ def least_nonsplit_prime(chi: DirichletCharacter, S=(), cap: int = 10**8) -> Pri
         t = evaluate(prim, p)
         if t:
             return PrimeWitness(p, p, t)
-
-
-def analytic_conductor_S(chi: DirichletCharacter, S=()) -> int:
-    """N(chi) * N_S; the field discriminant factor is 1 over Q."""
-    norm_s = math.prod((v.prime for v in S if not v.is_real), start=1)
-    return conductor(chi).norm * norm_s
 
 
 @dataclass(frozen=True)
@@ -161,17 +154,6 @@ def scan_family(max_conductor: int, S=(), epsilon: float = 0.1, cap: int = 10**8
                 found / denom_b,
                 found / log_a**2,
             )
-
-
-def ratio_c_decile_maxima(records, max_conductor: int) -> list[float]:
-    """Max ratio_c per conductor decile (flagged records ignored)."""
-    out = [0.0] * 10
-    for rec in records:
-        if rec.cap_exceeded:
-            continue
-        d = min(9, (rec.conductor - 1) * 10 // max_conductor)
-        out[d] = max(out[d], rec.ratio_c)
-    return out
 
 
 def write_scan_csv(records, out) -> int:

@@ -181,7 +181,7 @@ def auxiliary_primes(m: int, S) -> tuple[int, ...]:
     gens = [tuple(int(i == j) for j in range(len(basis))) for i in range(len(basis))]
     zero = (0,) * len(basis)
     allowed = {zero}
-    report = special_case(FieldDescriptor.rationals(), m, S)
+    report = special_case(FieldDescriptor(), m, S)
     if report.occurs:
         vec = [0] * len(basis)
         vec[basis.index(2)] = m // 2
@@ -259,7 +259,7 @@ def build_cycle(instance: GrunwaldInstance, aux) -> CycleValue:
 def obstruction_exponent(instance: GrunwaldInstance, report=None) -> int:
     """Zeta-exponent of the product of prescribed values at a0 (0 = unobstructed)."""
     if report is None:
-        report = special_case(FieldDescriptor.rationals(), instance.m, set(instance.places))
+        report = special_case(FieldDescriptor(), instance.m, set(instance.places))
     if not report.occurs:
         return 0
     return (
@@ -275,7 +275,7 @@ def _exponent(instance: GrunwaldInstance, exponent: int | None):
     otherwise; an explicit exponent must be a multiple of m.  When mu = m
     the instance itself comes back, not a rebuilt copy."""
     m = instance.m
-    report = special_case(FieldDescriptor.rationals(), m, set(instance.places))
+    report = special_case(FieldDescriptor(), m, set(instance.places))
     if exponent is None:
         obstructed = report.occurs and obstruction_exponent(instance, report) != 0
         exponent = 2 * m if obstructed else m

@@ -16,15 +16,11 @@ from functools import lru_cache
 from .core_arith import (
     Place,
     _require_squarefree,
-    factor,
-    is_mth_power_rational,
     is_square_in_quadratic_field,
-    lth_power_test_local,
-    primes_stream,
     two_adic_square_profile,
     valuation,
 )
-from .errors import NoWitnessError, SearchCapError, ValidationError
+from .errors import ValidationError
 
 
 @dataclass(frozen=True)
@@ -38,31 +34,21 @@ class FieldDescriptor:
             _require_squarefree(self.d)
 
     @staticmethod
-    def rationals() -> "FieldDescriptor":
-        return FieldDescriptor(1)
-
-    @staticmethod
-    def quadratic(d: int) -> "FieldDescriptor":
-        return FieldDescriptor(d)
-
-    @staticmethod
     def parse(text: str) -> "FieldDescriptor":
         if text == "Q":
-            return FieldDescriptor.rationals()
+            return FieldDescriptor()
         if text.startswith("Qsqrt:"):
             try:
-                return FieldDescriptor.quadratic(int(text[6:]))
+                d = int(text[6:])
             except ValueError:
                 pass
+            else:
+                return FieldDescriptor(d)
         raise ValidationError(f"cannot parse field '{text}'")
 
     @property
     def is_rational(self) -> bool:
         return self.d == 1
-
-    @property
-    def degree(self) -> int:
-        return 1 if self.d == 1 else 2
 
     def __str__(self) -> str:
         return "Q" if self.d == 1 else f"Q(sqrt {self.d})"
@@ -150,47 +136,3 @@ def special_case(field: FieldDescriptor, m: int, S) -> SpecialCaseReport:
     if x1 == 0:
         return SpecialCaseReport(True, s, x0, None, S0, None)
     return SpecialCaseReport(True, s, None, (x0, x1), S0, None)
-
-
-def is_mth_power_in_qp(x: Fraction, v: Place, m: int) -> bool:
-    """x an m-th power in Q_v for arbitrary m (prime-power parts tested)."""
-    if m < 1:
-        raise ValidationError(f"bad power index {m}")
-    return all(lth_power_test_local(x, v, l**r) for l, r in factor(m).factors)
-
-
-def membership_P_m_S(x: Fraction, m: int, S) -> bool:
-    """x in P(m, S): an m-th power in every completion of Q outside S.
-
-    By the structure of that group, membership reduces to x or x/a0 being
-    a global m-th power, the latter only when the special case occurs.
-    """
-    x = Fraction(x)
-    if x == 0:
-        raise ValidationError("membership test of zero")
-    if is_mth_power_rational(x, m):
-        return True
-    report = special_case(FieldDescriptor.rationals(), m, S)
-    return report.occurs and is_mth_power_rational(x / report.a0, m)
-
-
-def witness_prime(x: Fraction, m: int, S=(), cap: int = 10**6) -> int:
-    """Least prime outside S where x fails to be a local m-th power.
-
-    Raises NoWitnessError when x lies in P(m, S) so no witness exists, and
-    SearchCapError when the search passes cap without finding one.
-    """
-    x = Fraction(x)
-    if x == 0:
-        raise ValidationError("witness search for zero")
-    S = frozenset(S)
-    if membership_P_m_S(x, m, S):
-        raise NoWitnessError(f"{x} is an everywhere-local {m}-th power outside S")
-    for p in primes_stream():
-        if p > cap:
-            break
-        if Place.finite(p) in S:
-            continue
-        if not is_mth_power_in_qp(x, Place.finite(p), m):
-            return p
-    raise SearchCapError(f"no witness prime up to {cap}")

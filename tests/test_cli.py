@@ -200,13 +200,19 @@ def test_bad_instance_payload(tmp_path, capsys):
     path.write_text('{"m": 8,')
     assert run(["construct", "--instance", str(path)]) == 2
     assert capsys.readouterr().err.startswith("error: cannot parse instance file: ")
-    # a quadratic field parses but is refused; a malformed one fails to parse
+    # a quadratic field parses but is refused; a d that is not squarefree
+    # fails the squarefree check, with its own message
     path.write_text(json.dumps({**WANG, "field": "Qsqrt:5"}))
     assert run(["construct", "--instance", str(path)]) == 2
     assert capsys.readouterr().err == "error: solving is implemented over Q only\n"
     path.write_text(json.dumps({**WANG, "field": "Qsqrt:4"}))
     assert run(["construct", "--instance", str(path)]) == 2
-    assert capsys.readouterr().err == "error: cannot parse field 'Qsqrt:4'\n"
+    assert capsys.readouterr().err == "error: d not squarefree: 4\n"
+    # the same on the command line; a field that is no field fails to parse
+    assert run(["special-case", "--field", "Qsqrt:4", "--m", "8", "--S", ""]) == 2
+    assert capsys.readouterr().err == "error: d not squarefree: 4\n"
+    assert run(["special-case", "--field", "Qsqrt:x", "--m", "8", "--S", ""]) == 2
+    assert capsys.readouterr().err == "error: cannot parse field 'Qsqrt:x'\n"
 
 
 def _child_env():

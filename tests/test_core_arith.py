@@ -1,4 +1,5 @@
-"""Arithmetic layer: primality, factorization, unit groups, discrete logs.
+"""Arithmetic layer: primality, factorization, unit groups, discrete logs,
+and local m-th powers as the common kernel of the local characters.
 
 Reference answers come from brute force (trial division, full residue
 enumeration), never from the functions under test.
@@ -22,7 +23,6 @@ from grunwald.core_arith import (
     is_mth_power_rational,
     is_prime,
     is_square_rational,
-    lth_power_test_local,
     power_residue_table,
     prime_power,
     primes_stream,
@@ -31,6 +31,7 @@ from grunwald.core_arith import (
     valuation,
     valuation_rational,
 )
+from grunwald.characters import evaluate_local, local_character, sign_local, unramified_local
 from grunwald.errors import NonUnitError, ValidationError
 
 
@@ -234,7 +235,7 @@ def test_place_basics():
     assert [v.prime for v in ordering] == [2, 5, None]
 
 
-# --- local power tests against a Hensel-bounded brute force -----------------
+# --- local characters detect local powers, against a Hensel brute force ----
 
 def brute_power_in_qp(x: Fraction, p: int, m: int) -> bool:
     """x in (Q_p^x)^m by enumerating y^m over residues mod p^K.
@@ -268,28 +269,49 @@ LOCAL_GRID = [
 ]
 
 
+def killed_by_local_characters(x: Fraction, v: Place, m: int) -> bool:
+    """Every local character of exponent m at v is trivial at x.
+
+    Q_v^x / (Q_v^x)^m is finite of exponent m, so this holds exactly when
+    x is an m-th power in Q_v.  At a prime p the characters are generated
+    by the unramified one with value zeta_m at p and one per generator of
+    (Z/p^K)^x, K = v_p(m) + 1 (p odd) or v_2(m) + 2: the units that are 1
+    mod p^K are m-th powers.
+    """
+    if v.is_real:
+        return m % 2 == 1 or evaluate_local(sign_local(m, 1), x) == 0
+    p = v.prime
+    K = valuation(m, p) + (2 if p == 2 else 1)
+    orders = unit_group(p**K).orders
+    chars = [unramified_local(p, m, 1)]
+    for j, o in enumerate(orders):
+        exps = [0] * len(orders)
+        exps[j] = m // math.gcd(m, o)
+        chars.append(local_character(v, m, K, tuple(exps)))
+    return all(evaluate_local(psi, x) == 0 for psi in chars)
+
+
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
 @pytest.mark.parametrize("m", [2, 3, 4, 5, 8, 9])
 def test_lth_power_local_matches_brute(p, m):
-    if len(factor(m).factors) != 1:
-        return  # lth_power_test_local wants prime-power m
     place = Place(p)
     xs = {q * Fraction(p) ** k for q in LOCAL_GRID for k in (-2, -1, 0, 1, 2, 3, 8)}
     for x in sorted(xs):
-        assert lth_power_test_local(x, place, m) == brute_power_in_qp(x, p, m), (x, p, m)
+        got = killed_by_local_characters(x, place, m)
+        assert got == brute_power_in_qp(x, p, m), (x, p, m)
 
 
 def test_lth_power_local_real_place():
     real = Place(None)
-    assert lth_power_test_local(Fraction(-8), real, 3)
-    assert not lth_power_test_local(Fraction(-8), real, 2)
-    assert lth_power_test_local(Fraction(8), real, 2)
+    assert killed_by_local_characters(Fraction(-8), real, 3)
+    assert not killed_by_local_characters(Fraction(-8), real, 2)
+    assert killed_by_local_characters(Fraction(8), real, 2)
 
 
 def test_sixteen_is_an_eighth_power_at_odd_primes():
     # the classical witness: locally an 8th power away from 2, globally not
     for p in (3, 5, 7, 11, 13, 17, 97):
         assert brute_power_in_qp(Fraction(16), p, 8)
-        assert lth_power_test_local(Fraction(16), Place(p), 8)
+        assert killed_by_local_characters(Fraction(16), Place(p), 8)
     assert not brute_power_in_qp(Fraction(16), 2, 8)
-    assert not lth_power_test_local(Fraction(16), Place(2), 8)
+    assert not killed_by_local_characters(Fraction(16), Place(2), 8)

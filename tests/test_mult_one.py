@@ -15,21 +15,18 @@ from hypothesis import strategies as st
 
 from grunwald import (
     CSV_HEADER,
-    analytic_conductor_S,
     conductor,
     evaluate,
-    iter_characters,
     least_nonsplit_prime,
     make_dirichlet,
     primitivize,
-    ratio_c_decile_maxima,
     scan_family,
-    trivial_character,
     unit_group,
     write_scan_csv,
 )
 from grunwald.core_arith import Place, primes_stream
 from grunwald.errors import NoWitnessError, SearchCapError, ValidationError
+from reference import iter_characters, ratio_c_decile_maxima
 
 
 def naive_least_nonsplit(chi, skip=()):
@@ -65,7 +62,7 @@ def test_least_nonsplit_excludes_s():
 
 def test_least_nonsplit_trivial_raises():
     with pytest.raises(NoWitnessError):
-        least_nonsplit_prime(trivial_character(60))
+        least_nonsplit_prime(make_dirichlet(60, (0, 0, 0), 1))
 
 
 def test_least_nonsplit_cap():
@@ -84,10 +81,12 @@ def test_bad_search_cap_is_validation_error():
 
 
 def test_analytic_conductor():
-    chi = make_dirichlet(5, (1,), 4)
-    assert analytic_conductor_S(chi, ()) == 5
-    assert analytic_conductor_S(chi, (Place(2), Place(7))) == 5 * 14
-    assert analytic_conductor_S(chi, (Place(None),)) == 5
+    # the scan's A = N(chi) * N_S: N_S multiplies the finite places of S,
+    # and the real place adds nothing
+    for S, norm in [((), 1), ((Place(2), Place(7)), 14), ((Place(None),), 1)]:
+        rec = next(rec for rec in scan_family(10, S=S) if rec.conductor == 5)
+        assert rec.s_norm == norm
+        assert rec.log_a == pytest.approx(math.log(5 * norm))
 
 
 def test_scan_counts_and_primitivity():

@@ -26,7 +26,6 @@ from grunwald import (
     construct,
     instance_from_dict,
     instance_to_dict,
-    iter_characters,
     local_character,
     local_component,
     make_instance,
@@ -68,6 +67,8 @@ from grunwald.solver import (
     _reaches_orders,
     _solve_mod,
 )
+
+from reference import iter_characters
 
 INF = Place(None)
 
@@ -127,7 +128,7 @@ def reference_auxiliary_primes(m, S, cap=10**6):
     ranges = [2 if b == -1 else m for b in basis]
     survivors = set(itertools.product(*(range(n) for n in ranges)))
     allowed = {tuple(0 for _ in basis)}
-    report = special_case(FieldDescriptor.rationals(), m, S)
+    report = special_case(FieldDescriptor(), m, S)
     if report.occurs:
         vec = [0] * len(basis)
         vec[basis.index(2)] = m // 2

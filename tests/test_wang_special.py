@@ -1,27 +1,22 @@
-"""Special case of Wang: detection, the element a0, and P(m, S) membership."""
+"""Special case of Wang: detection and the element a0."""
 
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from grunwald import (
     FieldDescriptor,
-    is_mth_power_in_qp,
     is_mth_power_rational,
-    membership_P_m_S,
     s_invariant,
     special_case,
-    witness_prime,
 )
-from grunwald.core_arith import Place, primes_stream
-from grunwald.errors import NoWitnessError, SearchCapError, ValidationError
+from grunwald.core_arith import Place, primes_stream, valuation
+from grunwald.errors import ValidationError
 from grunwald.wang_special import _field_data
 
 Q = FieldDescriptor(1)
-INF = Place(None)
 
 
 def S(*primes):
@@ -29,13 +24,16 @@ def S(*primes):
 
 
 def test_field_descriptor():
-    assert FieldDescriptor.parse("Q") == Q and Q.is_rational and Q.degree == 1
+    assert FieldDescriptor.parse("Q") == Q == FieldDescriptor() and Q.is_rational
     f7 = FieldDescriptor.parse("Qsqrt:7")
-    assert f7.d == 7 and f7.degree == 2 and str(f7) == "Q(sqrt 7)"
+    assert f7.d == 7 and not f7.is_rational and str(f7) == "Q(sqrt 7)"
     with pytest.raises(ValidationError):
         FieldDescriptor(12)
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="cannot parse field 'Qsqrt:x'"):
         FieldDescriptor.parse("Qsqrt:x")
+    # a parsed d that is not squarefree keeps the squarefree check's message
+    with pytest.raises(ValidationError, match="d not squarefree: 4"):
+        FieldDescriptor.parse("Qsqrt:4")
 
 
 def test_s_invariant():
@@ -119,48 +117,9 @@ def test_a0_is_m_half_power_of_critical_element():
 
 def test_sixteen_eighth_power_profile():
     x = Fraction(16)
+    assert valuation(16, 2) % 8 != 0  # so 16 is no 8th power in Q_2
     for p in itertools.takewhile(lambda q: q < 10**4, primes_stream()):
-        want = p != 2
-        assert is_mth_power_in_qp(x, Place(p), 8) == want, p
-    assert is_mth_power_in_qp(x, INF, 8)
+        # a unit at odd p is an 8th power in Q_p iff it is one mod p
+        assert p == 2 or pow(16, (p - 1) // math.gcd(8, p - 1), p) == 1, p
+    assert x > 0  # an 8th power in R
     assert not is_mth_power_rational(x, 8)
-
-
-def test_membership_structure():
-    x = Fraction(16)
-    assert membership_P_m_S(x, 8, S(2))  # 16 = a0 * (1)^8
-    assert not membership_P_m_S(x, 8, ())
-    assert membership_P_m_S(Fraction(256), 8, ())  # 256 = 2^8 is a plain power
-    assert membership_P_m_S(x * Fraction(3) ** 8, 8, S(2))
-    assert not membership_P_m_S(Fraction(2), 8, S(2))
-
-
-@given(
-    st.fractions(min_value=Fraction(1, 100), max_value=100, max_denominator=100),
-    st.sampled_from([2, 3, 4, 8, 9]),
-)
-@settings(max_examples=60)
-def test_global_powers_are_members(x, m):
-    assert membership_P_m_S(x**m, m, ())
-
-
-def test_witness_prime():
-    assert witness_prime(Fraction(16), 8, ()) == 2
-    assert witness_prime(Fraction(-1), 2, ()) == 2
-    assert witness_prime(Fraction(2), 2, ()) == 2  # odd valuation already fails at 2
-    with pytest.raises(NoWitnessError):
-        witness_prime(Fraction(81), 4, ())
-    with pytest.raises(NoWitnessError):
-        witness_prime(Fraction(16), 8, S(2))
-
-
-def test_witness_prime_skips_s():
-    # -1 is a nonsquare at 2 and at 3; excluding 2 moves the witness to 3
-    assert witness_prime(Fraction(-1), 2, S(2)) == 3
-
-
-def test_witness_prime_cap():
-    with pytest.raises(SearchCapError):
-        # member of P(m,S) minus trivial detection would raise NoWitness;
-        # a genuine non-member with all small witnesses excluded hits the cap
-        witness_prime(Fraction(-1), 2, S(2, 3), cap=3)
