@@ -19,9 +19,7 @@ from .core_arith import (
     FactoredInteger,
     Place,
     components,
-    crt,
     dlog_units,
-    factor,
     unit_group,
     unit_residue,
     valuation,
@@ -99,6 +97,8 @@ def primitive_slots(comp, mu: int) -> list[list[int]]:
 def _minimize_unit_part(
     p: int, k: int, exps: tuple[int, ...], m: int
 ) -> tuple[int, tuple[int, ...]]:
+    """(k', exps') for the exponent-m character of (Z/p^k)^* with the given
+    exponents: its conductor exponent k' and its exponents mod p^k'."""
     kp = _slice_conductor_exponent(p, k, exps, m)
     if kp == k:
         return k, tuple(t % m for t in exps)
@@ -185,11 +185,11 @@ def local_character(
 
 
 def unramified_local(p: int, m: int, value_exponent: int) -> LocalCharacter:
-    return local_character(Place.finite(p), m, 0, (), value_exponent)
+    return local_character(Place(p), m, 0, (), value_exponent)
 
 
 def sign_local(m: int, sign_exponent: int) -> LocalCharacter:
-    return local_character(Place.real(), m, 0, (), 0, sign_exponent)
+    return local_character(Place(None), m, 0, (), 0, sign_exponent)
 
 
 @dataclass(frozen=True)
@@ -258,18 +258,14 @@ def conductor(chi: DirichletCharacter) -> CycleValue:
 
 
 def primitivize(chi: DirichletCharacter) -> DirichletCharacter:
-    """The primitive character inducing chi (same exponent modulus)."""
-    f = conductor(chi).norm
-    if f == chi.modulus:
-        return chi
-    M = 1
-    for q, e in factor(chi.modulus).factors:
-        if f % q:
-            M *= q**e
-    exps = []
-    for g in unit_group(f).generators:
-        x = crt(g, f, 1, M) if M > 1 else g
-        exps.append(evaluate(chi, x))
+    """The primitive character inducing chi (same exponent modulus): each
+    CRT component restricted to its conductor by _minimize_unit_part."""
+    f, exps = 1, []
+    for c in components(chi.modulus):
+        sl = chi.exponents[c.offset : c.offset + len(c.orders)]
+        kp, new = _minimize_unit_part(c.prime, c.exponent, sl, chi.exponent_modulus)
+        f *= c.prime**kp
+        exps.extend(new)
     return DirichletCharacter(f, chi.exponent_modulus, tuple(exps))
 
 

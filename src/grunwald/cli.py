@@ -10,6 +10,7 @@ stderr.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -172,26 +173,8 @@ def _cmd_report(args) -> int:
     solution = construct(instance)
     _print_solution(solution)
     report = bound_report(instance, solution, args.epsilon)
-    for name in (
-        "e",
-        "class_generators",
-        "delta",
-        "delta_prime",
-        "e1",
-        "selmer_rank",
-        "n_places",
-        "norm_s",
-    ):
-        print(f"{name}={getattr(report, name)}")
-    print(f"epsilon={report.epsilon!r}")
-    for name in (
-        "log_shape",
-        "power_exponent",
-        "grh_shape",
-        "achieved_log_conductor",
-        "shape_ratio",
-    ):
-        print(f"{name}={getattr(report, name)!r}")
+    for field in dataclasses.fields(report):
+        print(f"{field.name}={getattr(report, field.name)!r}")
     return 0
 
 

@@ -187,14 +187,6 @@ class Place:
             raise ValidationError(f"not a prime: {self.prime}")
 
     @classmethod
-    def real(cls) -> "Place":
-        return cls(None)
-
-    @classmethod
-    def finite(cls, p: int) -> "Place":
-        return cls(p)
-
-    @classmethod
     def parse(cls, text: str) -> "Place":
         if text == "infinity":
             return cls(None)
@@ -362,11 +354,6 @@ def power_residue_table(q: int, g: int) -> tuple[int, dict[int, int]]:
         logs[power] = i
         power = power * zeta % q
     return e, logs
-
-
-def crt(r1: int, m1: int, r2: int, m2: int) -> int:
-    """The residue mod m1*m2 matching r1 mod m1 and r2 mod m2 (coprime moduli)."""
-    return (r1 + m1 * ((r2 - r1) * pow(m1, -1, m2) % m2)) % (m1 * m2)
 
 
 def prime_power(m: int) -> tuple[int, int]:

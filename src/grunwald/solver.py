@@ -7,9 +7,11 @@ of Wang makes it 2m for obstructed data, and m otherwise; the instance is
 rescaled to mu once, and every later step reads mu as its exponent.  Then
 pick auxiliary primes that rigidify the relevant S-unit classes, assemble
 a cycle (the working modulus), and solve a linear system over Z/mu for the
-exponent vector (_solve_mod), returning the solution of least conductor
-mod the cycle (or, when the solution lattice exceeds _KERNEL_LIMIT
-elements, the particular solution, flagged minimised=False).
+exponent vector, returning the solution of least conductor mod the cycle
+(or, when the solution lattice exceeds _KERNEL_LIMIT elements, the
+particular solution, flagged minimised=False).  _solve_mod is the one
+Z/l^rho linear-algebra routine: it solves that system, and it gives
+auxiliary_primes the kernel each kept prime cuts the survivors down to.
 
 oracle_minimal is the independent ground truth: exhaustive enumeration of
 primitive characters by increasing conductor, sharing no search logic
@@ -58,7 +60,6 @@ from .core_arith import (
     prime_power,
     primes_stream,
     unit_group,
-    valuation,
 )
 from .errors import (
     InternalContradictionError,
@@ -161,13 +162,14 @@ def auxiliary_primes(m: int, S) -> tuple[int, ...]:
     product is a local m-th power at every chosen prime.  They form a
     subgroup, kept as at most |basis| generators.  A prime q is chosen
     when the power map G -> F_q*/F_q*^m = Z/g, g = gcd(m, q - 1), is
-    nonzero on some generator; one least-valuation pivot step (as in
-    _solve_mod) then replaces the generators by ones of the kernel.  The
-    values of that map are read from core_arith.power_residue_table, the
-    table the oracle reads; its zeta is the canonical generator's power,
-    but any primitive g-th root would do, since another one multiplies
-    every value by one unit mod g and so keeps each valuation, the pivot,
-    and the subgroup each step keeps.  The search stops once every
+    nonzero on some generator.  The kernel then comes from _solve_mod: one
+    row over Z/m, the generators' values scaled by m/g so that the
+    g-multiples stay in it, and each kernel vector, mapped back onto the
+    generators, is a new generator.  The values of that map are read from
+    core_arith.power_residue_table, the table the oracle reads; its zeta is
+    the canonical generator's power, but any primitive g-th root would do,
+    since another one multiplies every value by one unit mod g and so
+    keeps the kernel.  The search stops once every
     generator lies in the allowed subgroup: the trivial class, plus the
     a0 class when the special case occurs.  For non-cyclic 2-power
     exponents the prime 2 (when 2 is outside S) or a prime q = +-3 mod 8
@@ -186,9 +188,6 @@ def auxiliary_primes(m: int, S) -> tuple[int, ...]:
         vec = [0] * len(basis)
         vec[basis.index(2)] = m // 2
         allowed.add(tuple(vec))
-
-    def combine(x, c, y):
-        return tuple((a + c * b) % n for a, b, n in zip(x, y, ranges))
 
     chosen: list[int] = []
     for q in primes_stream():
@@ -210,19 +209,14 @@ def auxiliary_primes(m: int, S) -> tuple[int, ...]:
             continue
         chosen.append(q)
         _, logs = power_residue_table(q, g)
-        values = [logs[z] for z in images]
-        s = valuation(g, l)
-        i = min(
-            (t for t in range(len(gens)) if values[t]),
-            key=lambda t: valuation(values[t], l),
-        )
-        v = valuation(values[i], l)
-        inv = pow(values[i] // l**v, -1, l ** (s - v))
-        for t in range(len(gens)):
-            if t != i and values[t]:
-                gens[t] = combine(gens[t], -(values[t] // l**v) * inv, gens[i])
-        gens[i] = combine(zero, l ** (s - v), gens[i])
-        gens = [h for h in gens if h != zero]
+        kernel = _solve_mod([[logs[z] * (m // g) for z in images]], [0], l, r)[1]
+        cols = tuple(zip(*gens))
+        gens = [
+            h
+            for c in kernel
+            if (h := tuple(sum(map(operator.mul, c, col)) % n for col, n in zip(cols, ranges)))
+            != zero
+        ]
 
     if l == 2 and r >= 3:
         if 2 not in s_primes:
@@ -337,86 +331,77 @@ def _solve_mod(rows, rhs, l: int, rho: int):
     ranges): the points part + sum c_i basis_i, 0 <= c_i < ranges_i; or
     None when there is none.
 
-    Row reduction picks globally minimal-valuation pivots.  Pivot rows are
-    frozen once selected, so every entry of a pivot row in a not-yet-used
-    column keeps valuation >= the pivot's; consistency then depends only
-    on the constant column, never on branch choices.  Back substitution
-    gives part (free columns 0), one basis vector per free column (range
-    mu), and one per pivot of valuation v > 0 (range l^v): the l^(rho-v)
-    multiples its division by l^v leaves open.
+    Row reduction picks globally minimal-valuation pivots, the first in
+    row-major order over the open rows and columns.  Pivot rows are frozen
+    once selected, so every entry of a pivot row in a then-open column
+    keeps valuation >= the pivot's; consistency then depends only on the
+    constant column, never on branch choices.  Each pivot keeps its row's
+    nonzero terms in the columns still open, which is all back
+    substitution reads.  It gives part (free columns 0), one basis vector
+    per free column (range mu), and one per pivot of valuation v > 0
+    (range l^v): the l^(rho-v) multiples its division by l^v leaves open.
     """
     mu = l**rho
     A = [[x % mu for x in row] for row in rows]
     b = [x % mu for x in rhs]
-    n = len(A[0]) if A else 0
-    pivots: list[tuple[int, int, int]] = []
-    used_cols: set[int] = set()
-    pivot_rows: set[int] = set()
+    open_rows = list(range(len(A)))
+    open_cols = list(range(len(A[0]) if A else 0))
+    n = len(open_cols)
+    pivots: list[tuple[int, int, int, list[tuple[int, int]]]] = []
     while True:
-        best = None
-        for i in range(len(A)):
-            if i in pivot_rows:
-                continue
-            for j in range(n):
-                if j in used_cols:
-                    continue
-                a = A[i][j]
-                if a == 0:
-                    continue
-                v = valuation(a, l)
-                if best is None or v < best[2]:
-                    best = (i, j, v)
-                    if v == 0:
+        best, lv = None, mu  # lv = l^v for the best entry's valuation v
+        for i in open_rows:
+            row = A[i]
+            for j in open_cols:
+                if row[j] % lv:
+                    best, lv = (i, j), math.gcd(row[j], mu)
+                    if lv == 1:
                         break
-            if best is not None and best[2] == 0:
+            if lv == 1:
                 break
         if best is None:
             break
-        i, j, v = best
-        lv = l**v
-        inv = pow(A[i][j] // lv, -1, mu)
-        A[i] = [x * inv % mu for x in A[i]]
+        i, j = best
+        open_rows.remove(i)
+        open_cols.remove(j)
+        row = A[i]
+        inv = pow(row[j] // lv, -1, mu)
+        terms = [(c, t * inv % mu) for c in open_cols if (t := row[c])]
         b[i] = b[i] * inv % mu
-        for r2 in range(len(A)):
-            if r2 == i or r2 in pivot_rows or A[r2][j] == 0:
+        for r in open_rows:
+            other = A[r]
+            if not other[j]:
                 continue
-            if A[r2][j] % lv:
+            if other[j] % lv:
                 raise InternalContradictionError("pivot minimality violated")
-            f = A[r2][j] // lv
-            A[r2] = [(x - f * y) % mu for x, y in zip(A[r2], A[i])]
-            b[r2] = (b[r2] - f * b[i]) % mu
-        pivots.append((i, j, v))
-        used_cols.add(j)
-        pivot_rows.add(i)
+            f = other[j] // lv
+            for c, t in terms:
+                other[c] = (other[c] - f * t) % mu
+            b[r] = (b[r] - f * b[i]) % mu
+        pivots.append((j, lv, b[i], terms))
 
-    for i in range(len(A)):
-        if i not in pivot_rows and b[i] % mu:
-            return None
-    for i, _, v in pivots:
-        if b[i] % (l**v):
-            return None
+    if any(b[i] for i in open_rows) or any(bi % lv for _, lv, bi, _ in pivots):
+        return None
 
-    def backsub(target, free_col=None, branch=None):
+    def backsub(particular, free_col=-1, branch=-1):
         x = [0] * n
-        if free_col is not None:
+        if free_col >= 0:
             x[free_col] = 1
         for t in range(len(pivots) - 1, -1, -1):
-            i, j, v = pivots[t]
-            R = (target[i] - sum(A[i][c] * x[c] for c in range(n) if c != j)) % mu
-            if R % (l**v):
+            j, lv, bi, terms = pivots[t]
+            R = (bi * particular - sum(x[c] * e for c, e in terms)) % mu
+            if R % lv:
                 raise InternalContradictionError("branch-dependent inconsistency")
-            x[j] = (R // (l**v) + (l ** (rho - v) if t == branch else 0)) % mu
+            x[j] = (R // lv + (mu // lv if t == branch else 0)) % mu
         return x
 
-    zero_b = [0] * len(b)
-    free_cols = [j for j in range(n) if j not in used_cols]
-    basis = [backsub(zero_b, free_col=j) for j in free_cols]
-    ranges = [mu] * len(free_cols)
-    for t, (_, _, v) in enumerate(pivots):
-        if v:
-            basis.append(backsub(zero_b, branch=t))
-            ranges.append(l**v)
-    return backsub(b), basis, ranges
+    basis = [backsub(0, free_col=j) for j in open_cols]
+    ranges = [mu] * len(open_cols)
+    for t, (_, lv, _, _) in enumerate(pivots):
+        if lv > 1:
+            basis.append(backsub(0, branch=t))
+            ranges.append(lv)
+    return backsub(1), basis, ranges
 
 
 def _minimal_candidate(part, basis, ranges, M, mu):

@@ -43,6 +43,7 @@ class FieldDescriptor:
             except ValueError:
                 pass
             else:
+                _require_squarefree(d)  # Qsqrt:1 is no quadratic field; Q is "Q"
                 return FieldDescriptor(d)
         raise ValidationError(f"cannot parse field '{text}'")
 
@@ -105,7 +106,7 @@ def _field_data(field: FieldDescriptor):
     offending = any(
         all(not prof[i] for prof in profiles) for i in range(len(profiles[0]))
     )
-    S0 = frozenset({Place.finite(2)}) if offending else frozenset()
+    S0 = frozenset({Place(2)}) if offending else frozenset()
     return s, elements, cond_b, S0
 
 

@@ -27,9 +27,9 @@ def verify_product_formula(chi: DirichletCharacter, x: Fraction) -> bool:
     primes = {p for p, _ in conductor(chi).finite_part.factors}
     primes |= {p for p, _ in factor(abs(x.numerator)).factors}
     primes |= {p for p, _ in factor(x.denominator).factors}
-    total = evaluate_local(local_component(chi, Place.real()), x)
+    total = evaluate_local(local_component(chi, Place(None)), x)
     for p in sorted(primes):
-        total += evaluate_local(local_component(chi, Place.finite(p)), x)
+        total += evaluate_local(local_component(chi, Place(p)), x)
     return total % chi.exponent_modulus == 0
 
 

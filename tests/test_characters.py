@@ -162,7 +162,7 @@ def test_character_order_and_pow():
 
 
 def test_primitivize_agrees_with_original():
-    for N in (45, 60, 72, 100):
+    for N in (45, 60, 72, 100, 96, 378):
         for chi in iter_characters(N):
             prim = primitivize(chi)
             assert prim.modulus == conductor(chi).finite_part.value

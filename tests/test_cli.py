@@ -208,9 +208,15 @@ def test_bad_instance_payload(tmp_path, capsys):
     path.write_text(json.dumps({**WANG, "field": "Qsqrt:4"}))
     assert run(["construct", "--instance", str(path)]) == 2
     assert capsys.readouterr().err == "error: d not squarefree: 4\n"
+    # Qsqrt:1 is refused as d = 0 is, not read as Q
+    path.write_text(json.dumps({**WANG, "field": "Qsqrt:1"}))
+    assert run(["construct", "--instance", str(path)]) == 2
+    assert capsys.readouterr().err == "error: d must be squarefree, not 0 or 1: 1\n"
     # the same on the command line; a field that is no field fails to parse
     assert run(["special-case", "--field", "Qsqrt:4", "--m", "8", "--S", ""]) == 2
     assert capsys.readouterr().err == "error: d not squarefree: 4\n"
+    assert run(["special-case", "--field", "Qsqrt:1", "--m", "8", "--S", "2"]) == 2
+    assert capsys.readouterr().err == "error: d must be squarefree, not 0 or 1: 1\n"
     assert run(["special-case", "--field", "Qsqrt:x", "--m", "8", "--S", ""]) == 2
     assert capsys.readouterr().err == "error: cannot parse field 'Qsqrt:x'\n"
 

@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 from grunwald.core_arith import (
     FactoredInteger,
     Place,
-    crt,
     dlog_units,
     factor,
     integer_nth_root,
@@ -183,12 +182,6 @@ def test_power_residue_table_matches_dlog_units():
             for x, d in logs_of.items():
                 assert logs[pow(x % q, e, q)] == d % g, (q, g, x)
     assert power_residue_table.cache_info().maxsize is not None
-
-
-def test_crt():
-    assert crt(1, 4, 2, 9) == 29
-    x = crt(crt(3, 5, 4, 7), 35, 2, 11)
-    assert x % 5 == 3 and x % 7 == 4 and x % 11 == 2
 
 
 def test_integer_nth_root():

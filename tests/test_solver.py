@@ -8,6 +8,7 @@ pass must agree on minimal conductors wherever we can afford both.
 
 import itertools
 import math
+import operator
 import random
 
 import pytest
@@ -414,6 +415,38 @@ def test_echelon_rejects_pivot_not_dividing_constant():
     # 2x = 1 mod 4 has no solution: the pivot's valuation 1 does not divide 1
     assert _solve_mod([[2]], [1], 2, 2) is None
     assert _solve_mod([[2]], [2], 2, 2) is not None
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_solve_mod_lattice_is_the_solution_set(data):
+    # against brute force over (Z/l^rho)^n: the lattice points are exactly
+    # the solutions, each once, and None comes back exactly when there is none
+    l = data.draw(st.sampled_from((2, 3, 5)))
+    rho = data.draw(st.integers(min_value=1, max_value=3))
+    mu = l**rho
+    n = data.draw(st.integers(min_value=1, max_value=3 if mu <= 27 else 2))
+    # entries of every valuation, not only units
+    entry = st.builds(lambda v, u: l**v * u % mu, st.integers(0, rho), st.integers(0, mu - 1))
+    k = data.draw(st.integers(min_value=1, max_value=3))  # no rows, no column count
+    rows = [data.draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(k)]
+    rhs = data.draw(st.lists(entry, min_size=k, max_size=k))
+    want = {
+        x
+        for x in itertools.product(range(mu), repeat=n)
+        if all(sum(map(operator.mul, row, x)) % mu == b for row, b in zip(rows, rhs))
+    }
+    lattice = _solve_mod(rows, rhs, l, rho)
+    if lattice is None:
+        assert not want
+        return
+    part, basis, ranges = lattice
+    points = [
+        tuple((p + sum(c * v[j] for c, v in zip(cs, basis))) % mu for j, p in enumerate(part))
+        for cs in itertools.product(*(range(r) for r in ranges))
+    ]
+    assert set(points) == want
+    assert len(points) == len(want)
 
 
 def test_truncated_minimisation_is_flagged():
