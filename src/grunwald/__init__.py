@@ -25,7 +25,6 @@ from .core_arith import (
     Place,
     dlog_units,
     factor,
-    is_mth_power_rational,
     is_prime,
     is_square_in_quadratic_field,
     primes_stream,

@@ -6,7 +6,9 @@ local-global dictionary follows one fixed normalization: at a ramified
 prime the local character inverts the CRT factor on units, and the value
 on a uniformizer p collects the complementary CRT factors at p.  That
 convention is pinned down by the product-formula tests; flipping it would
-flip the sign in exactly two places below.
+flip the sign in four places: the unit exponents and the uniformizer sum
+in local_component below, the unit rows of solver._assemble_rows
+(-evaluate_local) and the fixed slots of solver._prescribed_block (-t).
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from .core_arith import (
     components,
     dlog_units,
     unit_group,
+    unit_orders,
     unit_residue,
     valuation,
     valuation_rational,
@@ -44,53 +47,44 @@ class CycleValue:
         return text + "*infinity" if self.real_bit else text
 
 
-def _slice_conductor_exponent(p: int, k: int, exps: tuple[int, ...], m: int) -> int:
+def _lift(p: int, j: int) -> int:
+    """Generator j of (Z/p^k)^* reaches level v_p(order of its value) plus
+    this: 2 on the 5-generator mod 2^k, 1 on every other."""
+    return 2 if p == 2 and j == 1 else 1
+
+
+def _slice_conductor_exponent(p: int, exps: tuple[int, ...], m: int) -> int:
     """Conductor exponent of the character with the given value exponents
-    on the canonical generators of (Z/p^k)^*."""
-    if k == 0:
-        return 0
-    if p != 2:
-        t = exps[0] % m
-        if t == 0:
-            return 0
-        return valuation(m // math.gcd(m, t), p) + 1
-    if k == 1:
-        return 0
-    if k == 2:
-        return 2 if exps[0] % m else 0
-    t1 = exps[1] % m
-    if t1 == 0:
-        return 2 if exps[0] % m else 0
-    return valuation(m // math.gcd(m, t1), 2) + 2
+    on the canonical generators of (Z/p^k)^*: the largest level of a
+    nonzero value, which is the last one's, since mod 2^k the sign
+    generator stops at level 2 and the 5-generator starts there."""
+    for j in range(len(exps) - 1, -1, -1):
+        t = exps[j] % m
+        if t:
+            return valuation(m // math.gcd(m, t), p) + _lift(p, j)
+    return 0
 
 
-def primitive_slots(comp, mu: int) -> list[list[int]]:
+def primitive_slots(p: int, k: int, mu: int) -> list[list[int]]:
     """Per-generator exponent choices, each ascending, whose product is
     exactly the exponent-mu characters of (Z/p^k)^* with conductor
     exponent k, in lex order.
 
-    Generator j of order o takes c * (mu / g), g = gcd(mu, o), 0 <= c < g.
-    For p odd and c != 0 that slot alone gives conductor exponent
-    v_p(g / gcd(g, c)) + 1; mod 2^k, k >= 3, the 5-generator gives
-    v_2(...) + 2 and the sign generator is free.  So c != 0 when k = 1 or
-    p^k = 4; otherwise p^(k-1) (2^(k-2) for p = 2) divides g and p does
-    not divide c.  Mod 2 nothing is primitive: one empty slot.
+    Generator j of order o takes c * (mu / g), g = gcd(mu, o), 0 <= c < g,
+    a value of order g / gcd(g, c).  Only the last generator reaches level
+    k (mod 2^k the sign generator stops at 2), so the others are free and
+    the last keeps the c != 0 whose order has p-part p^(k - lift).  Since
+    v_p(g) <= k - lift, those are the c prime to p when p^(k - lift) | g.
+    Mod 2 nothing is primitive: one empty slot.
     """
-    p, k = comp.prime, comp.exponent
-    if p == 2 and k == 1:
+    orders = unit_orders(p, k)
+    if not orders:
         return [[]]
-    slots = []
-    for j, o in enumerate(comp.orders):
-        g = math.gcd(mu, o)
-        if k == 1 or (p == 2 and k == 2):
-            keep = range(1, g)
-        elif p == 2 and j == 0:
-            keep = range(g)
-        elif g % p ** (k - 1 if p != 2 else k - 2):
-            keep = ()
-        else:
-            keep = [c for c in range(1, g) if c % p]
-        slots.append([c * (mu // g) for c in keep])
+    *free, last = orders
+    slots = [[c * (mu // g) for c in range(g)] for g in (math.gcd(mu, o) for o in free)]
+    g = math.gcd(mu, last)
+    keep = range(1, g) if g % p ** (k - _lift(p, len(free))) == 0 else ()
+    slots.append([c * (mu // g) for c in keep if c % p])
     return slots
 
 
@@ -99,7 +93,7 @@ def _minimize_unit_part(
 ) -> tuple[int, tuple[int, ...]]:
     """(k', exps') for the exponent-m character of (Z/p^k)^* with the given
     exponents: its conductor exponent k' and its exponents mod p^k'."""
-    kp = _slice_conductor_exponent(p, k, exps, m)
+    kp = _slice_conductor_exponent(p, exps, m)
     if kp == k:
         return k, tuple(t % m for t in exps)
     if kp == 0:
@@ -172,7 +166,7 @@ def local_character(
         raise ValidationError(f"bad conductor exponent {k}")
     p = place.prime
     exps = tuple(t % m for t in unit_exponents)
-    orders = components(p**k)[0].orders if k else ()
+    orders = unit_orders(p, k)
     if len(exps) != len(orders):
         raise ValidationError(
             f"expected {len(orders)} unit exponents mod {p}^{k}, got {len(exps)}"
@@ -242,7 +236,7 @@ def conductor_exponents(chi: DirichletCharacter) -> tuple[tuple[int, int], ...]:
     out = []
     for c in components(chi.modulus):
         sl = chi.exponents[c.offset : c.offset + len(c.orders)]
-        kp = _slice_conductor_exponent(c.prime, c.exponent, sl, chi.exponent_modulus)
+        kp = _slice_conductor_exponent(c.prime, sl, chi.exponent_modulus)
         if kp:
             out.append((c.prime, kp))
     return tuple(out)

@@ -1,8 +1,7 @@
 """Exact integer and p-adic primitives.
 
-Factorization, unit groups of residue rings, discrete logarithms, m-th
-power tests in Q, and square tests in Q(sqrt d) and its completions
-above 2.
+Factorization, unit groups of residue rings, discrete logarithms, square
+tests in Q and Q(sqrt d) and in the completions of Q(sqrt d) above 2.
 Everything is exact integer/rational arithmetic; no floating point.
 """
 
@@ -14,7 +13,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import InternalContradictionError, NonUnitError, ValidationError
+from .errors import (
+    InternalContradictionError,
+    NonUnitError,
+    SearchCapError,
+    ValidationError,
+)
 
 FACTOR_LIMIT = 1 << 96
 
@@ -23,18 +27,16 @@ FACTOR_LIMIT = 1 << 96
 # from growing them without limit.
 _CACHE_SIZE = 1 << 14
 
-# Miller-Rabin witnesses.  The first twelve primes are a proven deterministic
-# set only below psi_12 ~ 3.18e23, the first thirteen (so these eighteen) only
-# below psi_13 ~ 3.3e24 (Sorenson & Webster, Math. Comp. 86 (2017)).  Above
-# psi_13, up to FACTOR_LIMIT = 2^96, passing every base is a probable-prime
-# result, not a proof.
+# Miller-Rabin witnesses.  The first thirteen primes (so these eighteen) are
+# a proven deterministic set below psi_13 (Sorenson & Webster, Math. Comp. 86
+# (2017)); above it a failing base still proves n composite.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61)
+_PSI_13 = 3317044064679887385961981
 
 
 def is_prime(n: int) -> bool:
-    """Miller-Rabin on _MR_WITNESSES: proven correct for n < psi_13 ~ 3.3e24;
-    for larger n (FACTOR_LIMIT = 2^96 bounds what factor accepts) True means
-    a probable prime, not a certified one."""
+    """Miller-Rabin on _MR_WITNESSES, a proof below psi_13 ~ 3.3e24.  An n at
+    or above psi_13 that passes every base raises ValidationError."""
     if n < 2:
         return False
     for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
@@ -56,6 +58,8 @@ def is_prime(n: int) -> bool:
                 break
         else:
             return False
+    if n >= _PSI_13:
+        raise ValidationError(f"cannot certify {n} prime: it is above psi_13")
     return True
 
 
@@ -116,11 +120,7 @@ _SMALL_PRIMES = tuple(itertools.islice(primes_stream(), 200))
 
 @dataclass(frozen=True)
 class FactoredInteger:
-    """A positive integer together with its prime factorization.
-
-    The primes are checked with is_prime: certified below psi_13 ~ 3.3e24,
-    probable primes between psi_13 and FACTOR_LIMIT = 2^96.
-    """
+    """A positive integer together with its prime factorization."""
 
     value: int
     factors: tuple[tuple[int, int], ...]
@@ -245,6 +245,16 @@ def _primitive_root_mod_pk(p: int, k: int) -> int:
         g += 1
 
 
+def unit_orders(p: int, k: int) -> tuple[int, ...]:
+    """Orders of the canonical generators of (Z/p^k)^*: none mod 1 and 2,
+    -1 mod 4, -1 and 5 mod 2^k (k >= 3), a primitive root for odd p."""
+    if p**k <= 2:
+        return ()
+    if p == 2:
+        return (2,) if k == 2 else (2, 2 ** (k - 2))
+    return (p ** (k - 1) * (p - 1),)
+
+
 @lru_cache(maxsize=_CACHE_SIZE)
 def components(N: int) -> tuple[UnitComponent, ...]:
     if not 1 <= N <= FACTOR_LIMIT:
@@ -253,17 +263,11 @@ def components(N: int) -> tuple[UnitComponent, ...]:
     offset = 0
     for p, k in factor(N).factors:
         pk = p**k
+        orders = unit_orders(p, k)
         if p == 2:
-            if k == 1:
-                local: tuple[int, ...] = ()
-                orders: tuple[int, ...] = ()
-            elif k == 2:
-                local, orders = (3,), (2,)
-            else:
-                local, orders = (pk - 1, 5), (2, pk // 4)
+            local: tuple[int, ...] = (pk - 1, 5)[: len(orders)]
         else:
             local = (_primitive_root_mod_pk(p, k),)
-            orders = (pk // p * (p - 1),)
         cof = N // pk
         if cof == 1:
             lifted = local
@@ -284,9 +288,16 @@ def unit_group(N: int) -> UnitGroupStructure:
     )
 
 
+# Baby steps kept by one BSGS table, so orders up to 2^32.  Every benchmark
+# and test order is far below it; a larger one is refused, not allocated.
+_BSGS_LIMIT = 1 << 16
+
+
 @lru_cache(maxsize=512)
 def _bsgs_table(g: int, modulus: int, order: int):
     m = math.isqrt(order - 1) + 1 if order > 1 else 1
+    if m > _BSGS_LIMIT:
+        raise SearchCapError(f"order {order} needs over {_BSGS_LIMIT} BSGS baby steps")
     table: dict[int, int] = {}
     x = 1
     for j in range(m):
@@ -366,41 +377,9 @@ def prime_power(m: int) -> tuple[int, int]:
     return pairs[0]
 
 
-def integer_nth_root(n: int, k: int) -> int:
-    """Floor of the k-th root of n >= 0."""
-    if n < 0 or k < 1:
-        raise ValidationError("root of negative or bad index")
-    if n < 2 or k == 1:
-        return n
-    x = 1 << -(-n.bit_length() // k)
-    while True:
-        y = ((k - 1) * x + n // x ** (k - 1)) // k
-        if y >= x:
-            break
-        x = y
-    while x**k > n:
-        x -= 1
-    while (x + 1) ** k <= n:
-        x += 1
-    return x
-
-
-def is_mth_power_rational(x: Fraction, m: int) -> bool:
-    if m < 1:
-        raise ValidationError(f"bad power index {m}")
-    x = Fraction(x)
-    if x == 0:
-        return True
-    if x < 0:
-        if m % 2 == 0:
-            return False
-        x = -x
-    num, den = x.numerator, x.denominator
-    return integer_nth_root(num, m) ** m == num and integer_nth_root(den, m) ** m == den
-
-
 def is_square_rational(x: Fraction) -> bool:
-    return is_mth_power_rational(x, 2)
+    x = Fraction(x)
+    return x >= 0 and all(math.isqrt(n) ** 2 == n for n in (x.numerator, x.denominator))
 
 
 def valuation_rational(x: Fraction, p: int) -> int:
@@ -480,7 +459,7 @@ def is_square_in_quadratic_field(x0: Fraction, x1: Fraction, d: int) -> bool:
     n = x0 * x0 - x1 * x1 * d
     if n < 0 or not is_square_rational(n):
         return False
-    t = Fraction(integer_nth_root(n.numerator, 2), integer_nth_root(n.denominator, 2))
+    t = Fraction(math.isqrt(n.numerator), math.isqrt(n.denominator))
     return any(
         w != 0 and is_square_rational(w) for w in ((x0 + t) / 2, (x0 - t) / 2)
     )

@@ -109,7 +109,7 @@ def scan_family(max_conductor: int, S=(), epsilon: float = 0.1, cap: int = 10**8
         slots: list[list[int]] = []
         mu = math.lcm(*(o for c in comps for o in c.orders))
         for c in comps:
-            slots.extend(primitive_slots(c, mu))
+            slots.extend(primitive_slots(c.prime, c.exponent, mu))
         table = _dlog_table(f)
         candidates: list[tuple[int, tuple[int, ...]]] = []
         stream = primes_stream()

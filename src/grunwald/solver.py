@@ -60,6 +60,7 @@ from .core_arith import (
     prime_power,
     primes_stream,
     unit_group,
+    unit_orders,
 )
 from .errors import (
     InternalContradictionError,
@@ -428,7 +429,7 @@ def _minimal_candidate(part, basis, ranges, M, mu):
         sl = tuple(x[c.offset : c.offset + len(c.orders)])
         val = tables[k].get(sl)
         if val is None:
-            val = c.prime ** _slice_conductor_exponent(c.prime, c.exponent, sl, mu)
+            val = c.prime ** _slice_conductor_exponent(c.prime, sl, mu)
             tables[k][sl] = val
         return val
 
@@ -652,7 +653,7 @@ def _component_reach(p: int, a: int, mu: int, x: int) -> int:
     g_j / gcd(dlog_j(x), g_j), g_j = gcd(mu, o_j).  Cached, at most
     _SLOT_CACHE_SIZE entries; only l^a and 2^a come here, so keys are few."""
     reach = 1
-    for o, d in zip(components(p**a)[0].orders, dlog_units(p**a, x)):
+    for o, d in zip(unit_orders(p, a), dlog_units(p**a, x)):
         g = math.gcd(mu, o)
         reach = max(reach, g // math.gcd(d, g))
     return reach
@@ -690,14 +691,6 @@ def _reaches_orders(factors, mu: int, block) -> bool:
     return True
 
 
-@lru_cache(maxsize=_SLOT_CACHE_SIZE)
-def _free_slots(p: int, a: int, mu: int) -> tuple[tuple[int, ...], ...]:
-    """characters.primitive_slots of (Z/p^a)^* at exponent mu.  Cached, so
-    a prime power that recurs along the walk is not decomposed again: at
-    most _SLOT_CACHE_SIZE entries, each of at most two slots of < mu values."""
-    return tuple(map(tuple, primitive_slots(components(p**a)[0], mu)))
-
-
 def _oracle_pass_pruned(f, factors, mu, block):
     """The least exponent vector (lexicographic) of a character of exact
     conductor f that meets the linear checks, as a character, or None.
@@ -728,7 +721,7 @@ def _oracle_pass_pruned(f, factors, mu, block):
         if sl is not None:
             vec.extend(sl)
             continue
-        slots = _free_slots(p, a, mu)
+        slots = primitive_slots(p, a, mu)
         free.extend(range(len(vec), len(vec) + len(slots)))
         vec.extend([0] * len(slots))
         choices.extend(slots)
@@ -821,7 +814,6 @@ def bound_report(
     instance: GrunwaldInstance,
     solution: GrunwaldSolution,
     epsilon: float = 0.1,
-    refine_delta: bool = False,
 ) -> BoundReport:
     if epsilon <= 0:
         raise ValidationError("epsilon must be positive")
@@ -832,8 +824,6 @@ def bound_report(
     class_gens = 0
     delta_prime = 1 if l % 2 else 0
     delta = 0 if m == 2 else 1
-    if refine_delta and all(v.prime != l for v in finite):
-        delta = 0
     e = n_places + class_gens - delta_prime
     phi = m - m // l
     e1 = phi * e + delta

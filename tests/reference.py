@@ -43,7 +43,7 @@ def iter_characters(N: int, exponent: int | None = None, primitive_only: bool = 
     orders = unit_group(N).orders
     mu = exponent if exponent is not None else math.lcm(1, *orders)
     if primitive_only:
-        slots = [s for c in components(N) for s in primitive_slots(c, mu)]
+        slots = [s for c in components(N) for s in primitive_slots(c.prime, c.exponent, mu)]
     else:
         slots = [range(0, mu, mu // math.gcd(mu, o)) for o in orders]
     for combo in itertools.product(*slots):

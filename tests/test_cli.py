@@ -175,10 +175,21 @@ def test_exit_code_validation(capsys):
     capsys.readouterr()
     assert run(["least-prime", "--modulus", "5", "--exponents", "1,x"]) == 2
     assert capsys.readouterr().err == "error: cannot parse integer list '1,x'\n"
+    # 2^89 - 1 is prime but above psi_13, where Miller-Rabin proves nothing
+    n = 2**89 - 1
+    argv = ["least-prime", "--modulus", str(n), "--exponents", "1"]
+    assert run(argv + ["--exponent-modulus", str(n - 1)]) == 2
+    assert "cannot certify" in capsys.readouterr().err
 
 
-def test_exit_code_search_cap(wang_file):
+def test_exit_code_search_cap(wang_file, capsys):
     assert run(["construct", "--instance", wang_file, "--method", "oracle", "--cap", "100"]) == 3
+    # a discrete log of order 2^61 - 2 would need a 1.5e9-entry BSGS table
+    n = 2**61 - 1
+    argv = ["least-prime", "--modulus", str(n), "--exponents", "1"]
+    capsys.readouterr()
+    assert run(argv + ["--exponent-modulus", str(n - 1)]) == 3
+    assert "BSGS baby steps" in capsys.readouterr().err
 
 
 def test_exit_code_contradiction(monkeypatch, capsys):

@@ -18,8 +18,6 @@ from grunwald.core_arith import (
     Place,
     dlog_units,
     factor,
-    integer_nth_root,
-    is_mth_power_rational,
     is_prime,
     is_square_rational,
     power_residue_table,
@@ -55,6 +53,17 @@ def test_is_prime_large_known():
     assert not is_prime(2**67 - 1)  # 193707721 * 761838257287
     assert is_prime(10**18 + 9)
     assert not is_prime(3215031751)  # strong pseudoprime to bases 2,3,5,7
+
+
+def test_is_prime_refuses_above_psi13():
+    # Miller-Rabin proves primality only below psi_13 ~ 3.3e24 (about 2^81.4)
+    with pytest.raises(ValidationError, match="cannot certify"):
+        is_prime(2**89 - 1)
+    with pytest.raises(ValidationError):
+        Place(2**89 - 1)
+    # a failing base still proves a composite above psi_13, so factor splits it
+    assert not is_prime((2**61 - 1) * (2**31 - 1))
+    assert factor((2**61 - 1) * (2**31 - 1)).factors == ((2**31 - 1, 1), (2**61 - 1, 1))
 
 
 def test_primes_stream_prefix():
@@ -184,31 +193,19 @@ def test_power_residue_table_matches_dlog_units():
     assert power_residue_table.cache_info().maxsize is not None
 
 
-def test_integer_nth_root():
-    assert integer_nth_root(10**18, 2) == 10**9
-    assert integer_nth_root(10**18 - 1, 2) == 10**9 - 1
-    assert integer_nth_root(7**15, 5) == 7**3
+@given(st.fractions(min_value=-(10**4), max_value=10**4, max_denominator=10**4))
+def test_square_recognized(x):
+    assert is_square_rational(x * x)
+    assert not is_square_rational(-(x * x)) or x == 0
 
 
-@given(
-    st.fractions(min_value=-(10**4), max_value=10**4, max_denominator=10**4),
-    st.integers(min_value=1, max_value=6),
-)
-def test_mth_power_recognized(x, m):
-    if x == 0:
-        return
-    assert is_mth_power_rational(x**m, m)
-    if m % 2 == 0:
-        assert not is_mth_power_rational(-(x**m), m) or x**m == 0
-
-
-def test_mth_power_rejects():
-    assert not is_mth_power_rational(Fraction(16), 8)
-    assert is_mth_power_rational(Fraction(16), 4)
-    assert is_mth_power_rational(Fraction(16), 2)
-    assert not is_mth_power_rational(Fraction(2), 2)
+def test_square_rejects():
+    assert is_square_rational(Fraction(16)) and is_square_rational(Fraction(0))
+    assert not is_square_rational(Fraction(2))
+    assert not is_square_rational(Fraction(8, 9)) and not is_square_rational(Fraction(9, 8))
     assert is_square_rational(Fraction(9, 4))
     assert not is_square_rational(Fraction(-9, 4))
+    assert is_square_rational(Fraction(10**40, 7**20)) and not is_square_rational(10**40 + 1)
 
 
 def test_unit_residue():
