@@ -19,7 +19,9 @@ and message):
 - `cli`: the cli-mix ops of the `cli-mix` workload for seeds 1-3, each
   hashed as the `repr` of its (exit code, stdout) pair;
 - `powres`: `least_non_lth_power_modulus_with_order(p, l, r)` for every
-  prime p <= 47, l in {2, 3, 5, 7, 11, 13} and r >= 0 with l^r <= 200.
+  prime p <= 47, l in {2, 3, 5, 7, 11, 13} and r >= 0 with l^r <= 200;
+- `scan`: the CSV that `write_scan_csv(scan_family(1000))` writes, hashed
+  whole, with its record count in place of a call count.
 
 Equal lines in two checkouts mean byte-identical outputs.  The package is
 imported from this checkout's `src/`, and the workloads are read from its
@@ -27,6 +29,7 @@ imported from this checkout's `src/`, and the workloads are read from its
 """
 
 import hashlib
+import io
 import itertools
 import sys
 import tempfile
@@ -39,6 +42,7 @@ import workloads  # noqa: E402
 from bounds_matrix import BASE, EXPONENTS, prescriptions  # noqa: E402
 from grunwald import construct, make_instance, oracle_minimal  # noqa: E402
 from grunwald.core_arith import Place, primes_stream  # noqa: E402
+from grunwald.mult_one import scan_family, write_scan_csv  # noqa: E402
 from grunwald.powres import least_non_lth_power_modulus_with_order  # noqa: E402
 from grunwald.solver import auxiliary_primes  # noqa: E402
 
@@ -48,6 +52,7 @@ AUX_PRIMES = (2, 3, 5, 7, 11, 13)
 POWRES_PRIMES = tuple(itertools.takewhile(lambda p: p <= 47, primes_stream()))
 POWRES_L = (2, 3, 5, 7, 11, 13)
 POWRES_TOP = 200
+SCAN_MAX_CONDUCTOR = 1000
 
 
 def outcome(call):
@@ -124,6 +129,9 @@ def main():
                 digest.update(line.encode() + b"\n")
                 count += 1
             print(f"{name} {count} {digest.hexdigest()}", flush=True)
+    out = io.StringIO()
+    count = write_scan_csv(scan_family(SCAN_MAX_CONDUCTOR), out)
+    print(f"scan {count} {hashlib.sha256(out.getvalue().encode()).hexdigest()}", flush=True)
 
 
 if __name__ == "__main__":

@@ -20,6 +20,7 @@ from .errors import (
     ValidationError,
 )
 
+# Largest cofactor that factor leaves, after trial division, to Pollard rho.
 FACTOR_LIMIT = 1 << 96
 
 # Entries kept by the factor and components caches.  Every benchmark
@@ -143,7 +144,7 @@ class FactoredInteger:
 
 @lru_cache(maxsize=_CACHE_SIZE)
 def factor(n: int) -> FactoredInteger:
-    if not 1 <= n <= FACTOR_LIMIT:
+    if n < 1:
         raise ValidationError(f"factor target out of range: {n}")
     remaining = n
     found: dict[int, int] = {}
@@ -153,6 +154,8 @@ def factor(n: int) -> FactoredInteger:
         while remaining % p == 0:
             found[p] = found.get(p, 0) + 1
             remaining //= p
+    if remaining > FACTOR_LIMIT:
+        raise ValidationError(f"factor target out of range: {n}")
     if remaining > 1:
         stack = [remaining]
         while stack:
@@ -211,7 +214,6 @@ class Place:
 class UnitGroupStructure:
     """Cyclic decomposition of (Z/N)^* on canonical generators."""
 
-    modulus: int
     generators: tuple[int, ...]
     orders: tuple[int, ...]
 
@@ -257,8 +259,6 @@ def unit_orders(p: int, k: int) -> tuple[int, ...]:
 
 @lru_cache(maxsize=_CACHE_SIZE)
 def components(N: int) -> tuple[UnitComponent, ...]:
-    if not 1 <= N <= FACTOR_LIMIT:
-        raise ValidationError(f"modulus out of range: {N}")
     out = []
     offset = 0
     for p, k in factor(N).factors:
@@ -282,7 +282,6 @@ def components(N: int) -> tuple[UnitComponent, ...]:
 def unit_group(N: int) -> UnitGroupStructure:
     comps = components(N)
     return UnitGroupStructure(
-        N,
         tuple(g for c in comps for g in c.generators),
         tuple(o for c in comps for o in c.orders),
     )

@@ -36,7 +36,6 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .characters import (
     CycleValue,
@@ -475,17 +474,10 @@ def solve_character(
     instance: GrunwaldInstance,
     cycle: CycleValue,
     aux_primes=(),
-    exponent: int | None = None,
 ) -> GrunwaldSolution:
-    """Solve for a character mod the given cycle matching all prescribed data.
-
-    The exponent is the one _exponent decides: with exponent None the Wang
-    dichotomy, so obstructed data is solved at 2m, and the cycle must have
-    been built for 2m (construct does that).  An explicit exponent skips
-    the decision (used by tests to demonstrate infeasibility at the
-    unwidened exponent).
-    """
-    report, inst = _exponent(instance, exponent)
+    """The character _solve finds mod the cycle, at the exponent _exponent
+    decides: 2m for obstructed Wang data, so the cycle must be built at 2m."""
+    report, inst = _exponent(instance, None)
     return _solve(report, inst, cycle, tuple(aux_primes))
 
 
@@ -530,7 +522,6 @@ def construct(instance: GrunwaldInstance) -> GrunwaldSolution:
 
 _SIEVE_FIRST_BLOCK = 1 << 6
 _SIEVE_BLOCK = 1 << 12
-_SLOT_CACHE_SIZE = 1 << 10
 
 
 def _prescribed_head(instance: GrunwaldInstance) -> tuple[tuple[int, int], ...]:
@@ -646,12 +637,10 @@ def _prescribed_block(instance: GrunwaldInstance):
     return fixed, targets, orders
 
 
-@lru_cache(maxsize=_SLOT_CACHE_SIZE)
 def _component_reach(p: int, a: int, mu: int, x: int) -> int:
     """Order of the subgroup of Z/mu that the exponent-mu characters of
     (Z/p^a)^* give the check on x: max over generators j of
-    g_j / gcd(dlog_j(x), g_j), g_j = gcd(mu, o_j).  Cached, at most
-    _SLOT_CACHE_SIZE entries; only l^a and 2^a come here, so keys are few."""
+    g_j / gcd(dlog_j(x), g_j), g_j = gcd(mu, o_j)."""
     reach = 1
     for o, d in zip(unit_orders(p, a), dlog_units(p**a, x)):
         g = math.gcd(mu, o)

@@ -1,6 +1,7 @@
 """Command-line surface: output records, exit codes, determinism."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -87,6 +88,20 @@ def test_report_bad_epsilon_prints_nothing(capsys, wang_file):
 def test_least_prime(capsys):
     assert run(["least-prime", "--modulus", "5", "--exponents", "2"]) == 0
     assert lines(capsys) == ["prime=2", "norm=2", "value_exponent=2"]
+
+
+def test_least_prime_modulus_above_factor_limit(capsys):
+    # 89#, the product of the 24 primes up to 89, is 115 bits, above
+    # FACTOR_LIMIT, but trial division splits it; a character on its mod-89
+    # component alone answers as the same character mod 89
+    primorial = math.prod(p for p in range(2, 90) if all(p % d for d in range(2, p)))
+    assert primorial.bit_length() == 115
+    argv = ["least-prime", "--modulus", str(primorial), "--exponents", ",".join(["0"] * 22 + ["1"])]
+    assert run(argv + ["--exponent-modulus", "88"]) == 0
+    want = ["prime=2", "norm=2", "value_exponent=16"]  # 3^16 = 2 mod 89
+    assert lines(capsys) == want
+    assert run(["least-prime", "--modulus", "89", "--exponents", "1", "--exponent-modulus", "88"]) == 0
+    assert lines(capsys) == want
 
 
 def test_least_prime_excluding(capsys):
@@ -190,6 +205,13 @@ def test_exit_code_search_cap(wang_file, capsys):
     capsys.readouterr()
     assert run(argv + ["--exponent-modulus", str(n - 1)]) == 3
     assert "BSGS baby steps" in capsys.readouterr().err
+    # 3^61 is above FACTOR_LIMIT but splits by trial division, so it
+    # reaches the same bound: its group order is 2 * 3^60
+    assert run(["least-prime", "--modulus", str(3**61), "--exponents", "1"]) == 3
+    assert (
+        capsys.readouterr().err
+        == "error: order 84782316550432407028588866402 needs over 65536 BSGS baby steps\n"
+    )
 
 
 def test_exit_code_contradiction(monkeypatch, capsys):

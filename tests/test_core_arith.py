@@ -14,8 +14,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from grunwald.core_arith import (
+    FACTOR_LIMIT,
     FactoredInteger,
     Place,
+    components,
     dlog_units,
     factor,
     is_prime,
@@ -91,6 +93,26 @@ def test_factor_str():
     # are split by Pollard rho
     for p, q in ((1229, 1231), (10**6 + 3, 10**6 + 33), (2**30 - 35, 2**31 - 1)):
         assert factor(p * q).factors == ((p, 1), (q, 1))
+
+
+def test_factor_limit_bounds_the_rho_cofactor():
+    # FACTOR_LIMIT bounds what trial division leaves to Pollard rho, not n:
+    # a 109-bit n whose primes are all trial-division primes is split
+    n = 2**100 * 3**5 * 257
+    assert n > FACTOR_LIMIT
+    assert str(factor(n)) == "2^100*3^5*257"
+    comps = components(n)
+    assert [(c.prime, c.exponent) for c in comps] == [(2, 100), (3, 5), (257, 1)]
+    for c in comps:
+        for g, o in zip(c.generators, c.orders):
+            assert pow(g, o, n) == 1
+            assert all(pow(g, o // q, n) != 1 for q, _ in factor(o).factors)
+    # a 122-bit cofactor is left after trial division, so it is refused
+    with pytest.raises(ValidationError, match="factor target out of range"):
+        factor((2**61 - 1) ** 2)
+    for bad in (0, -6):
+        with pytest.raises(ValidationError, match="factor target out of range"):
+            factor(bad)
 
 
 def test_factored_integer_rejects_garbage():

@@ -40,6 +40,7 @@ from grunwald import (
 )
 from grunwald.characters import _slice_conductor_exponent
 from grunwald.core_arith import (
+    FACTOR_LIMIT,
     Place,
     components,
     dlog_units,
@@ -67,6 +68,7 @@ from grunwald.solver import (
     _oracle_pass_pruned,
     _prescribed_block,
     _reaches_orders,
+    _solve,
     _solve_mod,
 )
 
@@ -401,7 +403,7 @@ def test_wang_unsolvable_at_exponent_eight():
     aux = auxiliary_primes(8, places(2))
     cyc = build_cycle(inst, aux)
     with pytest.raises(InternalContradictionError):
-        solve_character(inst, cyc, aux, exponent=8)
+        _solve(*_exponent(inst, 8), cyc, tuple(aux))
     # the exponent is still decided as 16, but the m-cycle is not swapped
     with pytest.raises(
         InternalContradictionError,
@@ -458,6 +460,23 @@ def test_truncated_minimisation_is_flagged():
     assert not sol.minimised
     for psi in inst.local_characters:
         assert local_component(sol.character, psi.place) == psi
+
+
+def test_construct_answers_cycle_above_factor_limit():
+    # m = 16, S = {5, 13, 17, 29}: the cycle is 98 bits, above FACTOR_LIMIT,
+    # but every prime of it is at most 257, so trial division splits it.  The
+    # lattice has 2^23 points, above _KERNEL_LIMIT, so it is not minimised.
+    inst = make_instance(
+        16, [local_character(Place(p), 16, 1, (16 // math.gcd(16, p - 1),), 1) for p in (5, 13, 17, 29)]
+    )
+    sol = construct(inst)
+    cycle = sol.cycle.finite_part
+    assert cycle.value == 169002172968141624210734194560 > FACTOR_LIMIT
+    assert max(p for p, _ in cycle.factors) == 257
+    assert not sol.minimised
+    for psi in inst.local_characters:
+        assert local_component(sol.character, psi.place) == psi
+    assert oracle_minimal(inst, cap=sol.conductor_norm).conductor_norm <= sol.conductor_norm
 
 
 # --- least-conductor search over the solution lattice ------------------------
