@@ -6,9 +6,9 @@ local-global dictionary follows one fixed normalization: at a ramified
 prime the local character inverts the CRT factor on units, and the value
 on a uniformizer p collects the complementary CRT factors at p.  That
 convention is pinned down by the product-formula tests; flipping it would
-flip the sign in four places: the unit exponents and the uniformizer sum
-in local_component below, the unit rows of solver._assemble_rows
-(-evaluate_local) and the fixed slots of solver._prescribed_block (-t).
+flip the sign in three places: the unit exponents and the uniformizer sum
+in local_component below, and the fixed slots of solver._prescribed_block
+(-psi(g) on each generator g), which both solvers read.
 """
 
 from __future__ import annotations

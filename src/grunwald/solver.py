@@ -7,26 +7,28 @@ of Wang makes it 2m for obstructed data, and m otherwise; the instance is
 rescaled to mu once, and every later step reads mu as its exponent.  Then
 pick auxiliary primes that rigidify the relevant S-unit classes, assemble
 a cycle (the working modulus), and solve a linear system over Z/mu for the
-exponent vector, returning the solution of least conductor mod the cycle
-(or, when the solution lattice exceeds _KERNEL_LIMIT elements, the
-particular solution, flagged minimised=False).  _solve_mod is the one
-Z/l^rho linear-algebra routine: it solves that system, and it gives
-auxiliary_primes the kernel each kept prime cuts the survivors down to.
+free slots of the exponent vector, returning the character of least
+conductor mod the cycle (or, when the solution lattice exceeds
+_KERNEL_LIMIT elements, the particular solution, flagged
+minimised=False).  _solve_mod is the one Z/l^rho linear-algebra routine:
+it solves that system, and it gives auxiliary_primes the kernel each kept
+prime cuts the survivors down to.
 
 oracle_minimal is the independent ground truth: exhaustive enumeration of
 primitive characters by increasing conductor, sharing no search logic
 with the constructive path.  Both solve one problem, stated once: the
-exponent (_exponent), one linear check per prescribed place (_checks),
-and _verify_solution, which every answer of either passes.  The oracle
-visits only the conductors F0 * g that the prescribed local conductors
-admit (see _admissible_conductors), and tests each from the
+exponent (_exponent); the fixed slots and per-place targets, which both
+take from _prescribed_block, on F0 for the oracle and on the cycle for
+construct; and _verify_solution, which every answer of either passes.
+The oracle visits only the conductors F0 * g that the prescribed local
+conductors admit (see _admissible_conductors), and tests each from the
 factorization the sieve yields.  First an order test (_reaches_orders):
-every check's target, of additive order n in Z/mu, must lie in the chain
-of subgroups g's components can reach, which on a prime q of g to the
-first power is one pow of the power-residue symbol.  Only the f that
-pass it are enumerated against the linear checks alone, each q^1
-contributing one symbol per check, read from
-core_arith.power_residue_table, the table auxiliary_primes also reads.
+every target, of additive order n in Z/mu, must lie in the chain of
+subgroups g's components can reach, which on a prime q of g to the first
+power is one pow of the power-residue symbol.  Only the f that pass it
+are enumerated against the targets alone, each q^1 contributing one
+symbol per target, read from core_arith.power_residue_table, the table
+auxiliary_primes also reads.
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .characters import (
     CycleValue,
@@ -58,7 +59,6 @@ from .core_arith import (
     power_residue_table,
     prime_power,
     primes_stream,
-    unit_group,
     unit_orders,
 )
 from .errors import (
@@ -229,18 +229,23 @@ def auxiliary_primes(m: int, S) -> tuple[int, ...]:
     return tuple(chosen)
 
 
+def _prescribed_head(instance: GrunwaldInstance) -> tuple[tuple[int, int], ...]:
+    """(p, k) for every prescribed prime with conductor exponent k > 0:
+    the factorization of F0."""
+    return tuple(
+        (psi.place.prime, psi.conductor_exponent)
+        for psi in instance.local_characters
+        if not psi.place.is_real and psi.conductor_exponent
+    )
+
+
 def build_cycle(instance: GrunwaldInstance, aux) -> CycleValue:
     """The working modulus for the instance's exponent m = l^rho: product
     of the prescribed conductors, the l-power headroom l^(rho+2), and one
     factor per auxiliary prime.  For obstructed data pass the instance
     _exponent rescales to 2m, as construct does."""
     l, rho = prime_power(instance.m)
-    exps: dict[int, int] = {}
-    for psi in instance.local_characters:
-        if psi.place.is_real or psi.conductor_exponent == 0:
-            continue
-        p = psi.place.prime
-        exps[p] = exps.get(p, 0) + psi.conductor_exponent
+    exps = dict(_prescribed_head(instance))
     exps[l] = exps.get(l, 0) + rho + 2
     for q in aux:
         exps[q] = exps.get(q, 0) + 1
@@ -280,50 +285,74 @@ def _exponent(instance: GrunwaldInstance, exponent: int | None):
     return report, make_instance(exponent, instance.local_characters)
 
 
-def _checks(instance: GrunwaldInstance) -> list[tuple[int, int]]:
-    """One (x, want) per prescribed place, in order: a character of the
-    instance's exponent mu meets the place's uniformizer value (x = p),
-    resp. sign (x = -1), when its exponent vector dotted with the discrete
-    logs of x is want mod mu."""
-    mu = instance.m
-    return [
-        (-1, psi.sign_exponent * (mu // 2) % mu)
-        if psi.place.is_real
-        else (psi.place.prime, psi.uniformizer_exponent % mu)
-        for psi in instance.local_characters
-    ]
+def _prescribed_block(instance: GrunwaldInstance, comps):
+    """(fixed, targets, orders): what the prescribed data fix in every
+    character mod M, comps = components(M), at the instance's exponent mu;
+    M is F0 for oracle_minimal and the cycle for construct.
 
-
-def _assemble_rows(instance: GrunwaldInstance, M: int):
-    """Linear constraints mod mu = instance.m on the exponent vector of a
-    character mod M."""
+    fixed maps the prime p of each component at a prescribed place to its
+    only possible slots: the character's CRT factor at p inverts the
+    prescribed unit part, so generator g takes -psi(g), the unit exponents
+    t mod p^k restated on the component's generators (-t when it is p^k,
+    0 when k = 0).  targets has one (x, want) per prescribed place, in
+    order: a character meets its uniformizer value (x = p), resp. sign
+    (x = -1), when its other slots dotted with the discrete logs of x are
+    want, the prescribed value less the fixed slots' share.  F0's
+    components carry the same generators in every f = F0 * g, so the
+    oracle's block holds for every f.  orders has one (x, n, n // l) per
+    target of additive order n > 1 in Z/mu = Z/l^r: _reaches_orders' input.
+    """
     mu = instance.m
-    comps = components(M)
-    ug = unit_group(M)
-    n = len(ug.generators)
-    rows: list[list[int]] = []
-    rhs: list[int] = []
-    for i, o in enumerate(ug.orders):
-        row = [0] * n
-        row[i] = o % mu
-        rows.append(row)
-        rhs.append(0)
-    for psi, (x, want) in zip(instance.local_characters, _checks(instance)):
-        row = [0] * n
+    l, _ = prime_power(mu)
+    by_prime = {psi.place.prime: psi for psi in instance.local_characters}
+    fixed = {}
+    for c in comps:
+        if (psi := by_prime.get(c.prime)) is not None:
+            pk = c.prime**psi.conductor_exponent
+            fixed[c.prime] = tuple(
+                -sum(map(operator.mul, psi.unit_exponents, dlog_units(pk, g))) % mu
+                for g in c.local_generators
+            )
+    targets = []
+    for psi in instance.local_characters:
+        if psi.place.is_real:
+            x, want = -1, psi.sign_exponent * (mu // 2)
+        else:
+            x, want = psi.place.prime, psi.uniformizer_exponent
         for c in comps:
-            if c.prime == x:
-                # the character's own CRT factor at p inverts the prescribed unit part
-                for h, g in enumerate(c.local_generators):
-                    unit = [0] * n
-                    unit[c.offset + h] = 1
-                    rows.append(unit)
-                    rhs.append(-evaluate_local(psi, Fraction(g)) % mu)
-                continue
-            for h, e in enumerate(dlog_units(c.prime_power, x)):
-                row[c.offset + h] = e % mu
-        rows.append(row)
+            if c.prime in fixed and c.prime != x:
+                want -= sum(map(operator.mul, dlog_units(c.prime_power, x), fixed[c.prime]))
+        targets.append((x, want % mu))
+    orders = tuple(
+        (x, n, n // l) for x, want in targets if (n := mu // math.gcd(want, mu)) > 1
+    )
+    return fixed, targets, orders
+
+
+def _assemble_rows(instance: GrunwaldInstance, comps):
+    """(rows, rhs, fixed): linear constraints mod mu = instance.m on the
+    free slots of a character mod M, comps = components(M), the slots of
+    components at no prescribed place; _splice puts _prescribed_block's
+    fixed slots back.  One order row per free generator, then one row per
+    prescribed place on its target."""
+    fixed, targets, _ = _prescribed_block(instance, comps)
+    free = [c for c in comps if c.prime not in fixed]
+    orders = [o for c in free for o in c.orders]
+    rows = [[o if j == i else 0 for j in range(len(orders))] for i, o in enumerate(orders)]
+    rhs = [0] * len(orders)
+    for x, want in targets:
+        rows.append([e for c in free for e in dlog_units(c.prime_power, x)])
         rhs.append(want)
-    return rows, rhs
+    return rows, rhs, fixed
+
+
+def _splice(comps, fixed, vec) -> list[int]:
+    """The exponent vector mod M, comps = components(M), that is vec on
+    the free slots and fixed[p] on the component at each p in fixed."""
+    rest = iter(vec)
+    return [
+        t for c in comps for t in fixed.get(c.prime) or itertools.islice(rest, len(c.orders))
+    ]
 
 
 def _solve_mod(rows, rhs, l: int, rho: int):
@@ -487,12 +516,17 @@ def _solve(report, instance: GrunwaldInstance, cycle: CycleValue, aux) -> Grunwa
     mu = instance.m
     l, rho = prime_power(mu)
     M = cycle.finite_part.value
-    lattice = _solve_mod(*_assemble_rows(instance, M), l, rho)
+    comps = components(M)
+    rows, rhs, fixed = _assemble_rows(instance, comps)
+    lattice = _solve_mod(rows, rhs, l, rho)
     if lattice is None:
         raise InternalContradictionError(
             f"no exponent-{mu} character exists modulo the cycle {cycle}"
         )
-    vec, minimised = _minimal_candidate(*lattice, M, mu)
+    part, basis, ranges = lattice
+    zeros = {p: (0,) * len(sl) for p, sl in fixed.items()}
+    part, basis = _splice(comps, fixed, part), [_splice(comps, zeros, b) for b in basis]
+    vec, minimised = _minimal_candidate(part, basis, ranges, M, mu)
     chi = primitivize(DirichletCharacter(M, mu, tuple(vec)))
     solution = GrunwaldSolution(chi, mu, report.occurs, aux, cycle, minimised)
     _verify_solution(instance, solution)
@@ -522,16 +556,6 @@ def construct(instance: GrunwaldInstance) -> GrunwaldSolution:
 
 _SIEVE_FIRST_BLOCK = 1 << 6
 _SIEVE_BLOCK = 1 << 12
-
-
-def _prescribed_head(instance: GrunwaldInstance) -> tuple[tuple[int, int], ...]:
-    """(p, k) for every prescribed prime with conductor exponent k > 0:
-    the factorization of F0."""
-    return tuple(
-        (psi.place.prime, psi.conductor_exponent)
-        for psi in instance.local_characters
-        if not psi.place.is_real and psi.conductor_exponent
-    )
 
 
 def _admissible_conductors(instance: GrunwaldInstance, cap: int):
@@ -605,36 +629,6 @@ def _admissible_conductors(instance: GrunwaldInstance, cap: int):
                 found[i].append((v, 1))
             yield f0 * (lo + i), tuple(sorted(head + tuple(found[i])))
         lo, width = hi, min(2 * width, _SIEVE_BLOCK)
-
-
-def _prescribed_block(instance: GrunwaldInstance):
-    """The F0 part of every oracle pass, computed once per search.
-
-    Returns (fixed, targets, orders).  fixed maps each ramified prescribed
-    prime p to its only possible unit slot, (-t) mod mu for each unit
-    exponent t at the instance's exponent mu.  targets
-    has one (x, want) per check of _checks, want less what the fixed slots
-    contribute to it.  F0's components carry the same generators in
-    every f = F0 * g, since dlog_units(p^k, x) depends only on p^k, so
-    these constants hold for every f.  orders has one (x, n, n // l) per
-    check whose want has additive order n > 1 in Z/mu, mu = l^r: the input
-    of _reaches_orders.
-    """
-    mu = instance.m
-    l, _ = prime_power(mu)
-    head = _prescribed_head(instance)
-    by_prime = {psi.place.prime: psi for psi in instance.local_characters}
-    fixed = {p: tuple(-t % mu for t in by_prime[p].unit_exponents) for p, _ in head}
-    targets = []
-    for x, want in _checks(instance):
-        for p, k in head:
-            if p != x:
-                want -= sum(e * t for e, t in zip(dlog_units(p**k, x), fixed[p]))
-        targets.append((x, want % mu))
-    orders = tuple(
-        (x, n, n // l) for x, want in targets if (n := mu // math.gcd(want, mu)) > 1
-    )
-    return fixed, targets, orders
 
 
 def _component_reach(p: int, a: int, mu: int, x: int) -> int:
@@ -761,7 +755,8 @@ def oracle_minimal(
         raise ValidationError(f"bad search cap {cap}")
     report, inst = _exponent(instance, exponent)
     mu = inst.m
-    block = _prescribed_block(inst)
+    f0 = math.prod(p**k for p, k in _prescribed_head(inst))
+    block = _prescribed_block(inst, components(f0))
     for f, factors in _admissible_conductors(inst, cap):
         if not _reaches_orders(factors, mu, block):
             continue
@@ -777,18 +772,16 @@ def oracle_minimal(
 class BoundReport:
     """Quantities entering the conductor bounds, plus the achieved value.
 
-    log_shape is the unconditional log-conductor shape m*(n_places+D)*
+    log_shape is the unconditional log-conductor shape m*n_places*
     log(N_S*m); power_exponent the polynomial exponent E1*(1/2+eps); and
     grh_shape the conditional shape (log(N_S*l))^(2(e+delta)).  The
     implied constants are not effective, so only ratios are reported.
     """
 
     e: int
-    class_generators: int
     delta: int
     delta_prime: int
     e1: int
-    selmer_rank: int
     n_places: int
     norm_s: int
     epsilon: float
@@ -810,22 +803,19 @@ def bound_report(
     m = instance.m
     finite = [v for v in instance.places if not v.is_real]
     n_places = len(finite) + 1  # the real place always counts
-    class_gens = 0
     delta_prime = 1 if l % 2 else 0
     delta = 0 if m == 2 else 1
-    e = n_places + class_gens - delta_prime
+    e = n_places - delta_prime
     phi = m - m // l
     e1 = phi * e + delta
     norm_s = math.prod(v.prime for v in finite)
-    log_shape = m * (n_places + class_gens) * math.log(norm_s * m)
+    log_shape = m * n_places * math.log(norm_s * m)
     achieved = math.log(conductor(solution.character).norm)
     return BoundReport(
         e=e,
-        class_generators=class_gens,
         delta=delta,
         delta_prime=delta_prime,
         e1=e1,
-        selmer_rank=e,
         n_places=n_places,
         norm_s=norm_s,
         epsilon=epsilon,

@@ -15,7 +15,7 @@ from grunwald.characters import (
     local_component,
     primitive_slots,
 )
-from grunwald.core_arith import Place, components, factor, unit_group
+from grunwald.core_arith import Place, components, dlog_units, factor, unit_group
 from grunwald.errors import ValidationError
 
 
@@ -48,6 +48,45 @@ def iter_characters(N: int, exponent: int | None = None, primitive_only: bool = 
         slots = [range(0, mu, mu // math.gcd(mu, o)) for o in orders]
     for combo in itertools.product(*slots):
         yield DirichletCharacter(N, mu, combo)
+
+
+def unit_row_system(instance, M: int):
+    """(rows, rhs): linear constraints mod mu = instance.m on every slot of
+    a character mod M, the system the solver's free-slot one is checked
+    against.  One order row per generator; per prescribed place, one unit
+    row pinning each slot of M's component at that place to the inverse
+    of the prescribed unit part (-evaluate_local on the generator), then
+    one row for the place's uniformizer value, resp. sign, on the discrete
+    logs of p, resp. -1, over the other components."""
+    mu = instance.m
+    comps = components(M)
+    orders = unit_group(M).orders
+    n = len(orders)
+    rows, rhs = [], []
+    for i, o in enumerate(orders):
+        row = [0] * n
+        row[i] = o % mu
+        rows.append(row)
+        rhs.append(0)
+    for psi in instance.local_characters:
+        if psi.place.is_real:
+            x, want = -1, psi.sign_exponent * (mu // 2) % mu
+        else:
+            x, want = psi.place.prime, psi.uniformizer_exponent % mu
+        row = [0] * n
+        for c in comps:
+            if c.prime == x:
+                for h, g in enumerate(c.local_generators):
+                    unit = [0] * n
+                    unit[c.offset + h] = 1
+                    rows.append(unit)
+                    rhs.append(-evaluate_local(psi, Fraction(g)) % mu)
+                continue
+            for h, e in enumerate(dlog_units(c.prime_power, x)):
+                row[c.offset + h] = e % mu
+        rows.append(row)
+        rhs.append(want)
+    return rows, rhs
 
 
 def ratio_c_decile_maxima(records, max_conductor: int) -> list[float]:

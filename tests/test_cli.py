@@ -74,7 +74,8 @@ def test_report_contains_bound_fields(capsys, wang_file):
     assert run(["report", "--instance", wang_file]) == 0
     out = lines(capsys)
     keys = {line.split("=")[0] for line in out}
-    assert {"e", "delta", "delta_prime", "e1", "selmer_rank", "log_shape", "shape_ratio"} <= keys
+    assert {"e", "delta", "delta_prime", "e1", "log_shape", "shape_ratio"} <= keys
+    assert not {"class_generators", "selmer_rank"} & keys
 
 
 def test_report_bad_epsilon_prints_nothing(capsys, wang_file):

@@ -1,4 +1,5 @@
-"""Every top-level definition in `src/grunwald` is reached from an entry point.
+"""Every top-level definition in `src/grunwald` is reached from an entry point,
+and every private name the prose mentions is defined there.
 
 The entry points are the `grunwald` command (`src/grunwald/__main__.py`),
 the scripts in `scripts/` and the benchmark in `perfbench/`.  Their
@@ -9,17 +10,25 @@ Names are matched without their module, so a name reached anywhere counts
 everywhere.  The package `__init__` re-exports everything and counts as no
 use, and neither do the tests: code that only tests reach belongs in
 `tests/`.
+
+The prose is every docstring and comment in `src/grunwald` and every
+backticked span of README.md.  A `_name` there must be a top-level
+definition or a nested function in `src/grunwald`, so a helper that is
+renamed or folded away leaves no mention behind.
 """
 
 from __future__ import annotations
 
 import ast
+import io
 import re
+import tokenize
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "grunwald"
 _DOTTED = re.compile(r"[A-Za-z_][A-Za-z0-9_]*(\.[A-Za-z_][A-Za-z0-9_]*)*")
+_PRIVATE = re.compile(r"(?<!\w)_[A-Za-z]\w*")
 
 
 def _names(node: ast.AST) -> set[str]:
@@ -86,3 +95,50 @@ def unreached() -> list[str]:
 def test_every_definition_is_reached_from_an_entry_point():
     missing = unreached()
     assert not missing, "reached by no entry point: " + ", ".join(missing)
+
+
+def _prose(source: str, tree: ast.Module) -> list[str]:
+    """The docstrings and comments of one module."""
+    docs = [
+        ast.get_docstring(node, clean=False)
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+    ]
+    comments = [
+        tok.string
+        for tok in tokenize.generate_tokens(io.StringIO(source).readline)
+        if tok.type == tokenize.COMMENT
+    ]
+    return [text for text in docs if text] + comments
+
+
+def stale_names() -> list[str]:
+    """`where: _name` for each private name the prose mentions that is no
+    top-level definition or nested function of `src/grunwald`."""
+    defined: set[str] = set()
+    prose: list[tuple[str, str]] = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        source = path.read_text(encoding="utf-8")
+        tree = ast.parse(source)
+        defined |= set(_definitions(tree))
+        defined |= {
+            node.name
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        }
+        prose += [(path.name, text) for text in _prose(source, tree)]
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    prose += [("README.md", span) for span in re.findall(r"`([^`\n]+)`", readme)]
+    return sorted(
+        {
+            f"{where}: {name}"
+            for where, text in prose
+            for name in _PRIVATE.findall(text)
+            if name not in defined
+        }
+    )
+
+
+def test_prose_names_only_defined_private_names():
+    stale = stale_names()
+    assert not stale, "mentioned but not defined: " + ", ".join(stale)

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from grunwald import (
     BoundReport,
+    DirichletCharacter,
     FieldDescriptor,
     GrunwaldInstance,
     auxiliary_primes,
@@ -70,9 +71,10 @@ from grunwald.solver import (
     _reaches_orders,
     _solve,
     _solve_mod,
+    _splice,
 )
 
-from reference import iter_characters
+from reference import iter_characters, unit_row_system
 
 INF = Place(None)
 
@@ -575,8 +577,7 @@ def test_minimal_candidate_deep_lattice():
     inst = make_instance(27, chars)
     cycle = build_cycle(inst, auxiliary_primes(27, set(inst.places)))
     M = cycle.finite_part.value
-    rows, rhs = _assemble_rows(inst, M)
-    part, basis, ranges = _solve_mod(rows, rhs, 3, 3)
+    part, basis, ranges = free_slot_lattice(inst, M)
     assert math.prod(ranges) == 3**10
     got = _minimal_candidate(part, basis, ranges, M, 27)
     assert got == reference_minimal_candidate(part, basis, ranges, M, 27)
@@ -604,6 +605,78 @@ def test_construct_matches_sampled_local_data(data):
     if sol.exponent_achieved == m:
         for psi in inst.local_characters:
             assert local_component(sol.character, psi.place) == psi
+
+
+# --- the free-slot system against the unit-row reference --------------------
+
+def free_slot_lattice(instance, M):
+    """The lattice _solve minimises mod M: _assemble_rows' free-slot system
+    solved, its fixed slots spliced into part and zeros into each basis
+    vector."""
+    comps = components(M)
+    rows, rhs, fixed = _assemble_rows(instance, comps)
+    part, basis, ranges = _solve_mod(rows, rhs, *prime_power(instance.m))
+    zeros = {p: (0,) * len(sl) for p, sl in fixed.items()}
+    return _splice(comps, fixed, part), [_splice(comps, zeros, b) for b in basis], ranges
+
+
+def lattice_points(part, basis, ranges, mu):
+    return {
+        tuple((x + sum(c * vec[j] for c, vec in zip(cs, basis))) % mu for j, x in enumerate(part))
+        for cs in itertools.product(*map(range, ranges))
+    }
+
+
+@st.composite
+def sampled_instances(draw):
+    """Prescriptions read off a known character of prime-power order m, as
+    in test_construct_matches_sampled_local_data, with the prime l of m in
+    the pool too: ramified at l when the character is, unramified when
+    not."""
+    N = draw(st.sampled_from([5, 7, 8, 9, 15, 16, 20, 21, 24, 40]))
+    chars = [
+        chi
+        for chi in iter_characters(N)
+        if (m := character_order(chi)) > 1 and len(factor(m).factors) == 1
+    ]
+    chi = draw(st.sampled_from(chars))
+    l, _ = prime_power(character_order(chi))
+    pool = [Place(p) for p, _ in factor(N).factors] + [Place(l), Place(3), Place(11), INF]
+    chosen = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=4, unique=True))
+    return make_instance(character_order(chi), [local_component(chi, v) for v in chosen])
+
+
+# chi_2(16) = 4c mod m at the uniformizer value c, and 0 at the other places:
+# obstructed Wang data for odd c at m = 8 and for c != 0 mod 4 at m = 16
+wang_instances = st.builds(
+    lambda m, k, c, extra: admissible_instance(m, [(2, k, c), *extra]),
+    st.sampled_from([8, 16]),
+    st.sampled_from([0, 2, 3, 4, 5]),
+    st.integers(min_value=1, max_value=7),
+    st.lists(st.sampled_from([(3, 0, 1), (5, 1, 1), (None, 0, 1)]), unique=True),
+)
+
+
+@given(st.one_of(sampled_instances(), wang_instances))
+@example(make_instance(8, [WANG_PSI]))  # obstructed: solved at 16, l = 2 ramified
+@example(make_instance(9, [local_character(Place(3), 9, 2, (3,), 1), unramified_local(7, 9, 1)]))
+@example(make_instance(4, [unramified_local(2, 4, 1), sign_local(4, 1)]))  # l unramified
+@settings(max_examples=60, deadline=None)
+def test_free_slot_system_matches_unit_rows(instance):
+    # construct's cycle: the free-slot lattice with the fixed slots spliced
+    # in has as many points as the unit-row lattice, the same least point
+    # and, when small enough to list, the same points
+    _, inst = _exponent(instance, None)
+    mu = inst.m
+    M = build_cycle(inst, auxiliary_primes(mu, set(inst.places))).norm
+    want = _solve_mod(*unit_row_system(inst, M), *prime_power(mu))
+    got = free_slot_lattice(inst, M)
+    size = math.prod(want[2])
+    assert math.prod(got[2]) == size
+    if size <= _KERNEL_LIMIT:
+        assert _minimal_candidate(*got, M, mu) == _minimal_candidate(*want, M, mu)
+    if size <= 1 << 10:
+        assert lattice_points(*got, mu) == lattice_points(*want, mu)
 
 
 # --- oracle vs constructive dominance ----------------------------------------
@@ -911,7 +984,7 @@ def test_order_test_rejects_only_empty_passes(m, spec, doubled):
     inst = admissible_instance(m, spec)
     mu = 2 * m if doubled and m % 2 == 0 else m
     at_mu = make_instance(mu, inst.local_characters)
-    block = _prescribed_block(at_mu)
+    block = _prescribed_block(at_mu, components(f0_of(inst)))
     for f, factors in _admissible_conductors(at_mu, f0_of(inst) * 300):
         reaches = _reaches_orders(factors, mu, block)
         assert reaches == reference_reaches(inst, f, mu, block[1]), f
@@ -935,7 +1008,7 @@ def test_order_test_is_tight(inst, least, free):
     # order, so a strict comparison, or a symbol raised one power of l too
     # far, would skip it and the oracle would answer a larger conductor
     mu = inst.m
-    block = _prescribed_block(inst)
+    block = _prescribed_block(inst, components(f0_of(inst)))
     assert [n for _, n, _ in block[2]] == [_component_reach(*free, mu, x) for x, _, _ in block[2]]
     want = full_oracle(inst, 200)
     assert conductor(want).norm == least == free[0] ** free[1]
@@ -955,11 +1028,46 @@ def test_order_test_without_targets_keeps_every_conductor():
             sign_local(m, 1),
         ],
     )
-    block = _prescribed_block(inst)
+    block = _prescribed_block(inst, components(f0_of(inst)))
     assert [want for _, want in block[1]] == [0, 0, 0]
     assert block[2] == ()
     assert all(_reaches_orders(fac, m, block) for _, fac in _admissible_conductors(inst, 2000))
     assert oracle_minimal(inst, 200).character == full_oracle(inst, 200)
+
+
+# --- the prescribed block against local_component ---------------------------
+
+@given(
+    m=st.sampled_from([2, 3, 4, 5, 8, 9, 16, 27]),
+    spec=admissible_specs,
+    doubled=st.booleans(),
+)
+@example(m=8, spec=[(2, 5, 1)], doubled=True)  # 2^k, k >= 3: e = k in F0
+@example(m=16, spec=[(2, 3, 1), (3, 0, 1), (None, 0, 1)], doubled=False)
+@example(m=9, spec=[(3, 2, 1), (7, 1, 2)], doubled=False)  # e = k + rho + 2 at l
+@example(m=4, spec=[(2, 2, 1)], doubled=False)  # one unit exponent, two generators mod 2^6
+@example(m=4, spec=[(2, 0, 1), (5, 1, 1)], doubled=False)  # k = 0 at l
+@example(m=3, spec=[(3, 0, 2), (7, 1, 1)], doubled=False)
+@settings(max_examples=60, deadline=None)
+def test_prescribed_block_inverts_the_unit_part(m, spec, doubled):
+    # F0's components (e = k) and the cycle's (e = k + rho + 2 at l): the
+    # fixed slots on (Z/p^e)^* are the character whose local component at
+    # p is the prescribed unit part with uniformizer value 0
+    mu = 2 * m if doubled and m % 2 == 0 else m
+    inst = make_instance(mu, admissible_instance(m, spec).local_characters)
+    by_prime = {psi.place.prime: psi for psi in inst.local_characters}
+    for M in (f0_of(inst), build_cycle(inst, ()).norm):
+        comps = components(M)
+        fixed = _prescribed_block(inst, comps)[0]
+        assert set(fixed) == {c.prime for c in comps if c.prime in by_prime}
+        for c in comps:
+            if c.prime in fixed:
+                psi = by_prime[c.prime]
+                chi = DirichletCharacter(c.prime_power, mu, fixed[c.prime])
+                want = local_character(
+                    Place(c.prime), mu, psi.conductor_exponent, psi.unit_exponents, 0
+                )
+                assert local_component(chi, Place(c.prime)) == want
 
 
 def test_oracle_cap_raises():
@@ -987,7 +1095,7 @@ def test_e1_septet(l, r):
     closed = (l - 1) * l ** (r - 1) + 1 if l % 2 else (2 if r == 1 else 2**r + 1)
     assert want == closed
     assert rep.e1 == want
-    assert rep.selmer_rank == rep.e
+    assert rep.e == rep.n_places - rep.delta_prime
     assert rep.n_places == 2
 
 
