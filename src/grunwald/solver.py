@@ -5,14 +5,15 @@ characters, build a Dirichlet character realizing all of them at once.
 First the exponent mu to solve at is decided (_exponent): the special case
 of Wang makes it 2m for obstructed data, and m otherwise; the instance is
 rescaled to mu once, and every later step reads mu as its exponent.  Then
-pick auxiliary primes that rigidify the relevant S-unit classes, assemble
-a cycle (the working modulus), and solve a linear system over Z/mu for the
-free slots of the exponent vector, returning the character of least
-conductor mod the cycle (or, when the solution lattice exceeds
-_KERNEL_LIMIT elements, the particular solution, flagged
-minimised=False).  _solve_mod is the one Z/l^rho linear-algebra routine:
-it solves that system, and it gives auxiliary_primes the kernel each kept
-prime cuts the survivors down to.
+pick auxiliary primes that rigidify the relevant S-unit classes (they
+depend only on mu and the finite places, so each such pair is searched
+once per process), assemble a cycle (the working modulus), and solve a
+linear system over Z/mu for the free slots of the exponent vector,
+returning the character of least conductor mod the cycle (or, when the
+solution lattice exceeds _KERNEL_LIMIT elements, the particular solution,
+flagged minimised=False).  _solve_mod is the one Z/l^rho routine for
+systems; the kernel of the single row each kept auxiliary prime cuts the
+survivors down by has a closed form, _row_kernel.
 
 oracle_minimal is the independent ground truth: exhaustive enumeration of
 primitive characters by increasing conductor, sharing no search logic
@@ -37,6 +38,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .characters import (
     CycleValue,
@@ -153,31 +155,51 @@ def p_star_basis(m: int, S) -> tuple[int, ...]:
     return tuple(head + primes)
 
 
+# (m, finite primes of S) pairs whose auxiliary primes are kept.  Every
+# benchmark workload solves fewer than 100 pairs per process; the bound
+# keeps a long-running caller from growing the memo without limit.
+_AUX_CACHE_SIZE = 256
+
+
 def auxiliary_primes(m: int, S) -> tuple[int, ...]:
     """Primes outside S that cut the survivor subgroup down, found by
-    subgroup elimination.
+    subgroup elimination (see _auxiliary_primes).
+
+    The answer depends only on m and the finite primes of S: the real
+    place enters neither p_star_basis nor Wang's test over Q.  So each
+    (m, finite primes) pair is searched once per process, S with or
+    without the real place sharing one search, and kept in a memo of at
+    most _AUX_CACHE_SIZE pairs.
+    """
+    return _auxiliary_primes(m, tuple(sorted({v.prime for v in S if not v.is_real})))
+
+
+@lru_cache(maxsize=_AUX_CACHE_SIZE)
+def _auxiliary_primes(m: int, s_primes: tuple[int, ...]) -> tuple[int, ...]:
+    """auxiliary_primes for the place set of the finite primes s_primes.
 
     The survivors are the elements of G = Z/2 x (Z/m)^k, the exponent
     vectors on p_star_basis (the Z/2 factor belongs to -1), whose basis
     product is a local m-th power at every chosen prime.  They form a
     subgroup, kept as at most |basis| generators.  A prime q is chosen
     when the power map G -> F_q*/F_q*^m = Z/g, g = gcd(m, q - 1), is
-    nonzero on some generator.  The kernel then comes from _solve_mod: one
-    row over Z/m, the generators' values scaled by m/g so that the
-    g-multiples stay in it, and each kernel vector, mapped back onto the
-    generators, is a new generator.  The values of that map are read from
-    core_arith.power_residue_table, the table the oracle reads; its zeta is
-    the canonical generator's power, but any primitive g-th root would do,
-    since another one multiplies every value by one unit mod g and so
-    keeps the kernel.  The search stops once every
-    generator lies in the allowed subgroup: the trivial class, plus the
-    a0 class when the special case occurs.  For non-cyclic 2-power
-    exponents the prime 2 (when 2 is outside S) or a prime q = +-3 mod 8
-    (when 2 is in S, so sqrt 2 stays out of Q_q) is additionally required.
+    nonzero on some generator.  The kernel is then one row over Z/m, the
+    generators' values scaled by m/g so that the g-multiples stay in it,
+    taken in closed form by _row_kernel; each of its generators, mapped
+    back onto the survivor generators, is a new one.  The values of that
+    map are read from core_arith.power_residue_table, the table the oracle
+    reads; its zeta is the canonical generator's power, but any primitive
+    g-th root would do, since another one multiplies every value by one
+    unit mod g and so keeps the kernel.  The kept primes depend only on
+    the survivor subgroup, never on the generators spanning it.  The
+    search stops once every generator lies in the allowed subgroup: the
+    trivial class, plus the a0 class when the special case occurs.  For
+    non-cyclic 2-power exponents the prime 2 (when 2 is outside S) or a
+    prime q = +-3 mod 8 (when 2 is in S, so sqrt 2 stays out of Q_q) is
+    additionally required.
     """
     l, r = prime_power(m)
-    S = frozenset(S)
-    s_primes = {v.prime for v in S if not v.is_real}
+    S = frozenset(Place(p) for p in s_primes)
     basis = p_star_basis(m, S)
     ranges = [2 if b == -1 else m for b in basis]
     gens = [tuple(int(i == j) for j in range(len(basis))) for i in range(len(basis))]
@@ -209,12 +231,12 @@ def auxiliary_primes(m: int, S) -> tuple[int, ...]:
             continue
         chosen.append(q)
         _, logs = power_residue_table(q, g)
-        kernel = _solve_mod([[logs[z] * (m // g) for z in images]], [0], l, r)[1]
-        cols = tuple(zip(*gens))
+        j, kernel = _row_kernel([logs[z] * (m // g) for z in images], l, r)
+        pivot = gens[j]
         gens = [
             h
-            for c in kernel
-            if (h := tuple(sum(map(operator.mul, c, col)) % n for col, n in zip(cols, ranges)))
+            for c, k, t in kernel
+            if (h := tuple((k * a + t * b) % n for a, b, n in zip(gens[c], pivot, ranges)))
             != zero
         ]
 
@@ -227,6 +249,27 @@ def auxiliary_primes(m: int, S) -> tuple[int, ...]:
                     chosen.append(q)
                     break
     return tuple(chosen)
+
+
+def _row_kernel(row, l: int, r: int) -> tuple[int, list[tuple[int, int, int]]]:
+    """The kernel of one row of entries in [0, m), {x : row . x = 0 mod
+    m = l^r}, in closed form, as (j, gens): each (c, k, t) in gens is the
+    generator k e_c + t e_j.
+
+    The pivot j is the first entry of least valuation v, a_j = l^v u, the
+    pivot _solve_mod picks; every a_c is then l^v b_c, and row . x = 0
+    says x_j = -u^-1 sum b_c x_c mod l^(r - v).  So the kernel is spanned
+    by e_c - b_c u^-1 e_j for c != j and by l^(r - v) e_j, which is e_j
+    for a zero row and 0, left out, when v = 0.
+    """
+    m = l**r
+    lv, j = min((math.gcd(a, m), c) for c, a in enumerate(row))
+    u = row[j] // lv
+    inv = pow(u, -1, m) if u else 0
+    gens = [(c, 1, -(a // lv) * inv % m) for c, a in enumerate(row) if c != j]
+    if lv > 1:
+        gens.append((j, m // lv, 0))
+    return j, gens
 
 
 def _prescribed_head(instance: GrunwaldInstance) -> tuple[tuple[int, int], ...]:
@@ -346,13 +389,12 @@ def _assemble_rows(instance: GrunwaldInstance, comps):
     return rows, rhs, fixed
 
 
-def _splice(comps, fixed, vec) -> list[int]:
-    """The exponent vector mod M, comps = components(M), that is vec on
-    the free slots and fixed[p] on the component at each p in fixed."""
+def _splice(layout, fixed, vec) -> list[int]:
+    """The exponent vector that is fixed[p] on the component at each p in
+    fixed and vec, in order, on the others; layout has one (p, slot
+    count) pair per component, in component order."""
     rest = iter(vec)
-    return [
-        t for c in comps for t in fixed.get(c.prime) or itertools.islice(rest, len(c.orders))
-    ]
+    return [t for p, n in layout for t in fixed.get(p) or itertools.islice(rest, n)]
 
 
 def _solve_mod(rows, rhs, l: int, rho: int):
@@ -524,8 +566,9 @@ def _solve(report, instance: GrunwaldInstance, cycle: CycleValue, aux) -> Grunwa
             f"no exponent-{mu} character exists modulo the cycle {cycle}"
         )
     part, basis, ranges = lattice
+    layout = [(c.prime, len(c.orders)) for c in comps]
     zeros = {p: (0,) * len(sl) for p, sl in fixed.items()}
-    part, basis = _splice(comps, fixed, part), [_splice(comps, zeros, b) for b in basis]
+    part, basis = _splice(layout, fixed, part), [_splice(layout, zeros, b) for b in basis]
     vec, minimised = _minimal_candidate(part, basis, ranges, M, mu)
     chi = primitivize(DirichletCharacter(M, mu, tuple(vec)))
     solution = GrunwaldSolution(chi, mu, report.occurs, aux, cycle, minimised)
@@ -682,10 +725,10 @@ def _oracle_pass_pruned(f, factors, mu, block):
     is neither factored nor decomposed here.  Only the components of
     g = f / F0 are enumerated, against the targets of the prescribed
     block, and the first slot combination that meets them all is returned
-    with the fixed F0 slots spliced back in component order.  Nothing else
-    is checked: the F0 slots carry the prescribed unit parts and every
-    slot is primitive, so the checks are the whole local data, and
-    oracle_minimal passes the answer through _verify_solution.  On a q^1
+    with the fixed F0 slots put back by _splice, as construct's are.
+    Nothing else is checked: the F0 slots carry the prescribed unit parts
+    and every slot is primitive, so the checks are the whole local data,
+    and oracle_minimal passes the answer through _verify_solution.  On a q^1
     component the slots are multiples of mu / gcd(mu, q - 1), so a check
     needs only dlog(x) mod that gcd: the power-residue symbol of x at q,
     read from power_residue_table.  l^a and 2^a components take full
@@ -695,19 +738,12 @@ def _oracle_pass_pruned(f, factors, mu, block):
     None here too, since no slot choice reaches its target.
     """
     fixed, targets, _ = block
-    vec: list[int] = []
-    free: list[int] = []  # positions in vec of g's generators
-    choices: list[tuple[int, ...]] = []
+    choices: list[list[int]] = []
     rows: list[list[int]] = [[] for _ in targets]
     for p, a in factors:
-        sl = fixed.get(p)
-        if sl is not None:
-            vec.extend(sl)
+        if p in fixed:
             continue
-        slots = primitive_slots(p, a, mu)
-        free.extend(range(len(vec), len(vec) + len(slots)))
-        vec.extend([0] * len(slots))
-        choices.extend(slots)
+        choices.extend(primitive_slots(p, a, mu))
         if a == 1:
             e, logs = power_residue_table(p, math.gcd(mu, p - 1))
             for row, (x, _) in zip(rows, targets):
@@ -721,9 +757,8 @@ def _oracle_pass_pruned(f, factors, mu, block):
             if sum(map(operator.mul, row, combo)) % mu != want:
                 break
         else:
-            for j, t in zip(free, combo):
-                vec[j] = t
-            return DirichletCharacter(f, mu, tuple(vec))
+            layout = [(p, len(unit_orders(p, a))) for p, a in factors]
+            return DirichletCharacter(f, mu, tuple(_splice(layout, fixed, combo)))
     return None
 
 

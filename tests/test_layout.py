@@ -15,11 +15,15 @@ The prose is every docstring and comment in `src/grunwald` and every
 backticked span of README.md.  A `_name` there must be a top-level
 definition or a nested function in `src/grunwald`, so a helper that is
 renamed or folded away leaves no mention behind.
+
+Every `functools.lru_cache` a `src/grunwald` module binds has a finite
+maxsize, so no cache grows for the life of a process.
 """
 
 from __future__ import annotations
 
 import ast
+import importlib
 import io
 import re
 import tokenize
@@ -142,3 +146,27 @@ def stale_names() -> list[str]:
 def test_prose_names_only_defined_private_names():
     stale = stale_names()
     assert not stale, "mentioned but not defined: " + ", ".join(stale)
+
+
+def lru_caches() -> dict[str, object]:
+    """`module.qualname` -> cache for every `functools.lru_cache` a
+    `src/grunwald` module binds, at top level or in a class body."""
+    out: dict[str, object] = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        module = importlib.import_module(f"grunwald.{path.stem}")
+        scopes = [vars(module)]
+        scopes += [vars(value) for value in vars(module).values() if isinstance(value, type)]
+        for scope in scopes:
+            for value in scope.values():
+                if callable(getattr(value, "cache_info", None)):
+                    name = f"{value.__module__}.{value.__qualname__}"
+                    out[name.removeprefix("grunwald.")] = value
+    return out
+
+
+def test_every_lru_cache_is_bounded():
+    caches = lru_caches()
+    # the check sees the caches it is meant to bound
+    assert {"solver._auxiliary_primes", "core_arith.factor", "wang_special._field_data"} <= set(caches)
+    unbounded = sorted(name for name, cache in caches.items() if cache.cache_info().maxsize is None)
+    assert not unbounded, "unbounded lru_cache: " + ", ".join(unbounded)

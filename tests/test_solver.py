@@ -63,12 +63,14 @@ from grunwald.solver import (
     _SIEVE_FIRST_BLOCK,
     _admissible_conductors,
     _assemble_rows,
+    _auxiliary_primes,
     _component_reach,
     _exponent,
     _minimal_candidate,
     _oracle_pass_pruned,
     _prescribed_block,
     _reaches_orders,
+    _row_kernel,
     _solve,
     _solve_mod,
     _splice,
@@ -182,22 +184,33 @@ def _product(ranges):
             yield (head,) + tail
 
 
-@pytest.mark.parametrize(
-    "m,S,want",
-    [
-        (2, (), (3,)),
-        (3, (5,), (7,)),
-        (2, (5,), (3, 11)),
-        (3, (7,), (13,)),
-        (16, (2,), (3, 5, 17)),
-        (8, (2,), (3, 5)),
-        (4, (2,), (3, 5)),
-        (9, (3,), (7, 19)),
-        (8, (3,), (5, 7, 17, 2)),
-    ],
-)
+AUX_FIXTURES = [
+    (2, (), (3,)),
+    (3, (5,), (7,)),
+    (2, (5,), (3, 11)),
+    (3, (7,), (13,)),
+    (16, (2,), (3, 5, 17)),
+    (8, (2,), (3, 5)),
+    (4, (2,), (3, 5)),
+    (9, (3,), (7, 19)),
+    (8, (3,), (5, 7, 17, 2)),
+]
+
+
+@pytest.mark.parametrize("m,S,want", AUX_FIXTURES)
 def test_auxiliary_primes_fixtures(m, S, want):
     assert auxiliary_primes(m, places(*S)) == want
+
+
+@pytest.mark.parametrize("m,S,want", AUX_FIXTURES)
+def test_auxiliary_primes_ignore_the_real_place(m, S, want):
+    # each side searched cold, then both share one memo entry
+    _auxiliary_primes.cache_clear()
+    finite = auxiliary_primes(m, places(*S))
+    _auxiliary_primes.cache_clear()
+    assert auxiliary_primes(m, places(*S) + (INF,)) == finite == want
+    auxiliary_primes(m, places(*S))
+    assert _auxiliary_primes.cache_info().currsize == 1
 
 
 def test_auxiliary_primes_kill_survivors():
@@ -235,11 +248,92 @@ def _aux_max_places(m):
 @example(m=25, primes=[], with_two=False, real=True)
 @settings(max_examples=80, deadline=None)
 def test_auxiliary_primes_match_reference(m, primes, with_two, real):
-    # with_two puts 2 in S, which for 8 | m is the special case
+    # with_two puts 2 in S, which for 8 | m is the special case; the search
+    # runs cold, then the memo must give the same answer warm
     chosen = ([2] if with_two else []) + [p for p in primes if p != 2]
     chosen = chosen[: _aux_max_places(m)]
     S = places(*chosen) + ((INF,) if real else ())
-    assert auxiliary_primes(m, S) == reference_auxiliary_primes(m, S)
+    want = reference_auxiliary_primes(m, S)
+    _auxiliary_primes.cache_clear()
+    assert auxiliary_primes(m, S) == want
+    hits = _auxiliary_primes.cache_info().hits
+    assert auxiliary_primes(m, S) == want
+    assert _auxiliary_primes.cache_info().hits == hits + 1
+
+
+def test_auxiliary_primes_memo_is_keyed_on_the_place_set():
+    # many place sets per exponent, swept cold from one cleared memo and
+    # again warm: a memo that confused two keys answers one of them wrong
+    cases = []
+    for m in AUX_M:
+        k = _aux_max_places(m)
+        for chosen in ((), (2,), (3,), (2, 3), (5, 7, 11), (2, 13, 31), AUX_POOL):
+            S = places(*chosen[:k])
+            cases += [(m, S), (m, S + (INF,))]
+    # S and S + (INF,) share a reference answer as they share a memo entry
+    reference = {}
+    for m, S in cases:
+        key = (m, frozenset(v for v in S if not v.is_real))
+        if key not in reference:
+            reference[key] = reference_auxiliary_primes(m, S)
+    want = [reference[m, frozenset(v for v in S if not v.is_real)] for m, S in cases]
+    _auxiliary_primes.cache_clear()
+    assert [auxiliary_primes(m, S) for m, S in cases] == want
+    assert [auxiliary_primes(m, S) for m, S in cases] == want
+    info = _auxiliary_primes.cache_info()
+    assert info.misses == info.currsize == len(reference)
+    assert info.maxsize is not None
+
+
+def row_kernel_span(row, l, r):
+    """The subgroup of (Z/l^r)^n that _row_kernel's generators span."""
+    m = l**r
+    n = len(row)
+    j, gens = _row_kernel(row, l, r)
+    span = {(0,) * n}
+    for c, k, t in gens:
+        vec = [0] * n
+        vec[c] += k
+        vec[j] += t
+        span = {tuple((x + i * v) % m for x, v in zip(pt, vec)) for pt in span for i in range(m)}
+    return span
+
+
+@st.composite
+def kernel_rows(draw):
+    """(row, l, r): l^r <= 81 and 1-5 entries of every valuation, with at
+    most 6561 points in (Z/l^r)^n to sweep."""
+    l = draw(st.sampled_from((2, 3, 5)))
+    r = draw(st.integers(1, {2: 6, 3: 4, 5: 2}[l]))
+    m = l**r
+    n = draw(st.integers(1, max(k for k in range(1, 6) if m**k <= 6561)))
+    entry = st.builds(lambda v, u: l**v * u % m, st.integers(0, r), st.integers(0, m - 1))
+    return draw(st.lists(entry, min_size=n, max_size=n)), l, r
+
+
+@given(kernel_rows())
+@example(([2, 1], 2, 2))  # the first nonzero entry is no pivot: 1 is
+@example(([0, 6, 3], 3, 2))
+@example(([4], 2, 3))  # only l^(r - v) e_j spans the kernel
+@example(([2, 4, 6], 2, 3))
+@example(([0, 0], 5, 1))  # a zero row: everything
+@settings(max_examples=200, deadline=None)
+def test_row_kernel_is_the_kernel(case):
+    # against brute force, and against _solve_mod's lattice as a point set
+    row, l, r = case
+    m = l**r
+    n = len(row)
+    want = {
+        x for x in itertools.product(range(m), repeat=n)
+        if sum(map(operator.mul, row, x)) % m == 0
+    }
+    span = row_kernel_span(row, l, r)
+    assert span == want
+    _, basis, ranges = _solve_mod([row], [0], l, r)
+    assert span == {
+        tuple(sum(c * v[i] for c, v in zip(cs, basis)) % m for i in range(n))
+        for cs in itertools.product(*(range(k) for k in ranges))
+    }
 
 
 @pytest.mark.parametrize(
@@ -616,8 +710,9 @@ def free_slot_lattice(instance, M):
     comps = components(M)
     rows, rhs, fixed = _assemble_rows(instance, comps)
     part, basis, ranges = _solve_mod(rows, rhs, *prime_power(instance.m))
+    layout = [(c.prime, len(c.orders)) for c in comps]
     zeros = {p: (0,) * len(sl) for p, sl in fixed.items()}
-    return _splice(comps, fixed, part), [_splice(comps, zeros, b) for b in basis], ranges
+    return _splice(layout, fixed, part), [_splice(layout, zeros, b) for b in basis], ranges
 
 
 def lattice_points(part, basis, ranges, mu):
