@@ -20,6 +20,9 @@ and message):
   hashed as the `repr` of its (exit code, stdout) pair;
 - `powres`: `least_non_lth_power_modulus_with_order(p, l, r)` for every
   prime p <= 47, l in {2, 3, 5, 7, 11, 13} and r >= 0 with l^r <= 200;
+- `special_case`: the `SpecialCaseReport` over Q and Q(sqrt d) for every
+  squarefree d with |d| <= 200, each m <= 64 and each of a few place sets
+  with and without the real place;
 - `scan`: the CSV that `write_scan_csv(scan_family(1000))` writes, hashed
   whole, with its record count in place of a call count.
 
@@ -31,6 +34,7 @@ imported from this checkout's `src/`, and the workloads are read from its
 import hashlib
 import io
 import itertools
+import math
 import sys
 import tempfile
 from pathlib import Path
@@ -40,7 +44,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench"), str(ROOT / "scripts"
 
 import workloads  # noqa: E402
 from bounds_matrix import BASE, EXPONENTS, prescriptions  # noqa: E402
-from grunwald import construct, make_instance, oracle_minimal  # noqa: E402
+from grunwald import FieldDescriptor, construct, make_instance, oracle_minimal, special_case  # noqa: E402
 from grunwald.core_arith import Place, primes_stream  # noqa: E402
 from grunwald.mult_one import scan_family, write_scan_csv  # noqa: E402
 from grunwald.powres import least_non_lth_power_modulus_with_order  # noqa: E402
@@ -53,6 +57,9 @@ POWRES_PRIMES = tuple(itertools.takewhile(lambda p: p <= 47, primes_stream()))
 POWRES_L = (2, 3, 5, 7, 11, 13)
 POWRES_TOP = 200
 SCAN_MAX_CONDUCTOR = 1000
+WANG_MAX_D = 200
+WANG_MAX_M = 64
+WANG_PLACE_SETS = ((), (2,), (3,), (2, 3), (None,), (2, None), (7, None), (2, 3, 5, 7, None))
 
 
 def outcome(call):
@@ -114,6 +121,18 @@ def powres_lines(workdir):
                 r += 1
 
 
+def special_case_lines(workdir):
+    fields = [FieldDescriptor(), FieldDescriptor(-1)]
+    for n in range(2, WANG_MAX_D + 1):
+        if all(n % (p * p) for p in range(2, math.isqrt(n) + 1)):
+            fields += [FieldDescriptor(n), FieldDescriptor(-n)]
+    place_sets = [tuple(Place(p) for p in primes) for primes in WANG_PLACE_SETS]
+    for field in fields:
+        for m in range(1, WANG_MAX_M + 1):
+            for S in place_sets:
+                yield outcome(lambda: special_case(field, m, S))
+
+
 def main():
     with tempfile.TemporaryDirectory() as workdir:
         for name, lines in (
@@ -122,6 +141,7 @@ def main():
             ("auxiliary_primes", auxiliary_lines),
             ("cli", cli_lines),
             ("powres", powres_lines),
+            ("special_case", special_case_lines),
         ):
             digest = hashlib.sha256()
             count = 0

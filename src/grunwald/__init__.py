@@ -26,7 +26,6 @@ from .core_arith import (
     dlog_units,
     factor,
     is_prime,
-    is_square_in_quadratic_field,
     primes_stream,
     unit_group,
     valuation,

@@ -17,7 +17,7 @@ import sys
 
 from .characters import character_order, conductor, make_dirichlet
 from .core_arith import Place, unit_group
-from .errors import GrunwaldError, SearchCapError, ValidationError
+from .errors import GrunwaldError, SearchCapError, ValidationError, check_epsilon
 from .mult_one import least_nonsplit_prime, scan_family, write_scan_csv
 from .powres import least_non_lth_power_modulus, least_non_lth_power_modulus_with_order
 from .solver import bound_report, construct, instance_from_dict, oracle_minimal
@@ -118,8 +118,7 @@ def _cmd_least_prime(args) -> int:
 def _cmd_scan(args) -> int:
     S = _parse_places(args.S)
     # checked here too, so that bad input never creates or truncates --out
-    if args.epsilon <= 0:
-        raise ValidationError("epsilon must be positive")
+    check_epsilon(args.epsilon)
     if args.cap < 1:
         raise ValidationError(f"bad search cap {args.cap}")
     flagged = 0
@@ -168,8 +167,7 @@ def _cmd_powres(args) -> int:
 def _cmd_report(args) -> int:
     instance = _load_instance(args.instance)
     # checked before construct, so that bad input prints no solution lines
-    if args.epsilon <= 0:
-        raise ValidationError("epsilon must be positive")
+    check_epsilon(args.epsilon)
     solution = construct(instance)
     _print_solution(solution)
     report = bound_report(instance, solution, args.epsilon)

@@ -1,8 +1,9 @@
 """Exact integer and p-adic primitives.
 
-Factorization, unit groups of residue rings, discrete logarithms, square
-tests in Q and Q(sqrt d) and in the completions of Q(sqrt d) above 2.
-Everything is exact integer/rational arithmetic; no floating point.
+Primality, factorization, unit groups of residue rings, discrete
+logarithms, power-residue tables, and the p-adic valuation and unit
+residue of a rational.  Everything is exact integer/rational arithmetic;
+no floating point.
 """
 
 from __future__ import annotations
@@ -376,11 +377,6 @@ def prime_power(m: int) -> tuple[int, int]:
     return pairs[0]
 
 
-def is_square_rational(x: Fraction) -> bool:
-    x = Fraction(x)
-    return x >= 0 and all(math.isqrt(n) ** 2 == n for n in (x.numerator, x.denominator))
-
-
 def valuation_rational(x: Fraction, p: int) -> int:
     x = Fraction(x)
     if x == 0:
@@ -402,63 +398,3 @@ def unit_residue(x: Fraction, p: int, k: int) -> int:
         den //= p ** (-v)
     pk = p**k
     return num * pow(den, -1, pk) % pk
-
-
-def is_square_in_q2(x: Fraction) -> bool:
-    x = Fraction(x)
-    if x == 0:
-        return True
-    return valuation_rational(x, 2) % 2 == 0 and unit_residue(x, 2, 3) == 1
-
-
-def two_adic_square_profile(
-    x0: Fraction, x1: Fraction, d: int
-) -> tuple[bool, ...]:
-    """Squareness of x0 + x1*sqrt(d) in each completion of Q(sqrt d) above 2.
-
-    d = 1 denotes the base field Q (a single place); split d (d = 1 mod 8)
-    has two places, every other d one.  Decided for rational elements, and
-    for irrational ones at a single place whose norm is not a square in
-    Q_2 (the norm of a square is a square).  That covers every element
-    special_case tests; any other element raises ValidationError.
-    """
-    x0, x1 = Fraction(x0), Fraction(x1)
-    if d == 1:
-        return (is_square_in_q2(x0 + x1),)
-    _require_squarefree(d)
-    if x0 == 0 and x1 == 0:
-        raise ValidationError("square test of zero")
-    if x1 == 0:
-        if d % 8 == 1:
-            r = is_square_in_q2(x0)
-            return (r, r)
-        return (is_square_in_q2(x0) or is_square_in_q2(x0 * d),)
-    if d % 8 != 1 and not is_square_in_q2(x0 * x0 - x1 * x1 * d):
-        return (False,)
-    raise ValidationError(
-        f"2-adic square test of {x0} + {x1}*sqrt({d}) is not implemented"
-    )
-
-
-def _require_squarefree(d: int) -> None:
-    if d in (0, 1):
-        raise ValidationError(f"d must be squarefree, not 0 or 1: {d}")
-    if any(e > 1 for _, e in factor(abs(d)).factors):
-        raise ValidationError(f"d not squarefree: {d}")
-
-
-def is_square_in_quadratic_field(x0: Fraction, x1: Fraction, d: int) -> bool:
-    """Exact squareness of x0 + x1*sqrt(d) in the field Q(sqrt d); d=1 means Q."""
-    x0, x1 = Fraction(x0), Fraction(x1)
-    if d == 1:
-        return x0 + x1 >= 0 and is_square_rational(x0 + x1)
-    _require_squarefree(d)
-    if x1 == 0:
-        return is_square_rational(x0) or (x0 != 0 and is_square_rational(x0 / d))
-    n = x0 * x0 - x1 * x1 * d
-    if n < 0 or not is_square_rational(n):
-        return False
-    t = Fraction(math.isqrt(n.numerator), math.isqrt(n.denominator))
-    return any(
-        w != 0 and is_square_rational(w) for w in ((x0 + t) / 2, (x0 - t) / 2)
-    )

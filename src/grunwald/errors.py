@@ -4,6 +4,8 @@ The CLI maps these onto exit codes: validation errors exit 2, exhausted
 search caps exit 3, internal contradictions exit 4.
 """
 
+import math
+
 
 class GrunwaldError(Exception):
     """Base class for package errors."""
@@ -31,3 +33,12 @@ class NoSolutionBelowCap(SearchCapError):
 
 class InternalContradictionError(GrunwaldError):
     """A state the underlying theorems forbid; indicates a bug, not bad input."""
+
+
+def check_epsilon(epsilon: float) -> None:
+    """Refuse an epsilon the bound shapes N^(1/2 + epsilon) cannot take:
+    NaN, +-inf and values <= 0."""
+    if not math.isfinite(epsilon):
+        raise ValidationError(f"epsilon must be finite, not {epsilon}")
+    if epsilon <= 0:
+        raise ValidationError("epsilon must be positive")

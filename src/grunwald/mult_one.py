@@ -27,7 +27,7 @@ from .characters import (
     primitivize,
 )
 from .core_arith import components, primes_stream, unit_group
-from .errors import NoWitnessError, SearchCapError, ValidationError
+from .errors import NoWitnessError, SearchCapError, ValidationError, check_epsilon
 
 CSV_HEADER = "conductor,modulus,char_exponents,S,least_prime,log_A,ratio_A,ratio_B,ratio_C"
 
@@ -96,20 +96,17 @@ def scan_family(max_conductor: int, S=(), epsilon: float = 0.1, cap: int = 10**8
     A record whose witness search passes cap is emitted with least_prime 0
     and zero ratios, flagged, and the scan continues.
     """
-    if epsilon <= 0:
-        raise ValidationError("epsilon must be positive")
+    check_epsilon(epsilon)
     if cap < 1:
         raise ValidationError(f"bad search cap {cap}")
     skip = {v.prime for v in S if not v.is_real}
     norm_s = math.prod(skip, start=1)
     for f in range(3, max_conductor + 1):
-        if f % 4 == 2:
-            continue
         comps = components(f)
-        slots: list[list[int]] = []
         mu = math.lcm(*(o for c in comps for o in c.orders))
-        for c in comps:
-            slots.extend(primitive_slots(c.prime, c.exponent, mu))
+        slots = [s for c in comps for s in primitive_slots(c.prime, c.exponent, mu)]
+        if not all(slots):  # no primitive character mod f, e.g. f = 2 mod 4
+            continue
         table = _dlog_table(f)
         candidates: list[tuple[int, tuple[int, ...]]] = []
         stream = primes_stream()

@@ -68,6 +68,7 @@ from .errors import (
     NoSolutionBelowCap,
     SearchCapError,
     ValidationError,
+    check_epsilon,
 )
 from .wang_special import FieldDescriptor, special_case
 
@@ -832,8 +833,7 @@ def bound_report(
     solution: GrunwaldSolution,
     epsilon: float = 0.1,
 ) -> BoundReport:
-    if epsilon <= 0:
-        raise ValidationError("epsilon must be positive")
+    check_epsilon(epsilon)
     l, _ = prime_power(instance.m)
     m = instance.m
     finite = [v for v in instance.places if not v.is_real]
@@ -872,6 +872,13 @@ _PLACE_KEYS = {
 }
 
 
+def _int_entry(value) -> int:
+    """An integer of an instance record: JSON floats and booleans are refused."""
+    if isinstance(value, (bool, float)):
+        raise TypeError(value)
+    return int(value)
+
+
 def instance_from_dict(data: dict) -> GrunwaldInstance:
     if not isinstance(data, dict):
         raise ValidationError("instance record must be a mapping")
@@ -881,7 +888,7 @@ def instance_from_dict(data: dict) -> GrunwaldInstance:
     if "m" not in data:
         raise ValidationError("missing key 'm'")
     try:
-        m = int(data["m"])
+        m = _int_entry(data["m"])
     except (TypeError, ValueError):
         raise ValidationError(f"bad exponent entry {data['m']!r}") from None
     if "field" in data and not FieldDescriptor.parse(data["field"]).is_rational:
@@ -901,10 +908,10 @@ def instance_from_dict(data: dict) -> GrunwaldInstance:
                 local_character(
                     place,
                     m,
-                    int(rec.get("conductor_exponent", 0)),
-                    tuple(int(t) for t in rec.get("unit_exponents", ())),
-                    int(rec.get("uniformizer_exponent", 0)),
-                    int(rec.get("sign_exponent", 0)),
+                    _int_entry(rec.get("conductor_exponent", 0)),
+                    tuple(_int_entry(t) for t in rec.get("unit_exponents", ())),
+                    _int_entry(rec.get("uniformizer_exponent", 0)),
+                    _int_entry(rec.get("sign_exponent", 0)),
                 )
             )
         except (TypeError, ValueError):

@@ -4,23 +4,25 @@ The base field is Q or a quadratic field Q(sqrt d).  A report says whether
 the special case occurs for a given exponent m and place set S, and if so
 exhibits the distinguished element a0 whose coset measures the failure:
 a0 = (2 + eta)^{m/2} where eta generates the maximal real 2-power
-cyclotomic subfield (eta = 0 over Q, eta = sqrt 2 over Q(sqrt 2)).
+cyclotomic subfield (eta = 0 over Q, eta = sqrt 2 over Q(sqrt 2)).  All
+the special case reads from the field (s, condition (b) and the places
+S0) is a closed form in d, proved in `special_case`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
-from .core_arith import (
-    Place,
-    _require_squarefree,
-    is_square_in_quadratic_field,
-    two_adic_square_profile,
-    valuation,
-)
+from .core_arith import Place, factor, valuation
 from .errors import ValidationError
+
+
+def _require_squarefree(d: int) -> None:
+    if d in (0, 1):
+        raise ValidationError(f"d must be squarefree, not 0 or 1: {d}")
+    if any(e > 1 for _, e in factor(abs(d)).factors):
+        raise ValidationError(f"d not squarefree: {d}")
 
 
 @dataclass(frozen=True)
@@ -74,40 +76,14 @@ class SpecialCaseReport:
     failed_condition: str | None
 
 
-def _critical_elements(field: FieldDescriptor, s: int):
-    """-1 and +-(2 + eta_{2^s}) as coordinate pairs x0 + x1*sqrt(d)."""
-    if s == 2:
-        return ((Fraction(-1), Fraction(0)), (Fraction(2), Fraction(0)),
-                (Fraction(-2), Fraction(0)))
-    return ((Fraction(-1), Fraction(0)), (Fraction(2), Fraction(1)),
-            (Fraction(-2), Fraction(-1)))
-
-
-def _power_coords(x0: Fraction, x1: Fraction, d: int, n: int):
-    a, b = Fraction(1), Fraction(0)
+def _power_coords(x0: int, x1: int, d: int, n: int) -> tuple[Fraction, Fraction]:
+    a, b = 1, 0
     for _ in range(n):
         a, b = a * x0 + b * x1 * d, a * x1 + b * x0
-    return a, b
+    return Fraction(a), Fraction(b)
 
 
-_FIELD_CACHE_SIZE = 64
-
-
-@lru_cache(maxsize=_FIELD_CACHE_SIZE)
-def _field_data(field: FieldDescriptor):
-    """The part of special_case that depends on the field alone: s, the
-    critical elements, condition (b), and S0 (the places above 2 where
-    every critical element stays locally nonsquare)."""
-    s = s_invariant(field)
-    d = field.d
-    elements = _critical_elements(field, s)
-    cond_b = all(not is_square_in_quadratic_field(x0, x1, d) for x0, x1 in elements)
-    profiles = [two_adic_square_profile(x0, x1, d) for x0, x1 in elements]
-    offending = any(
-        all(not prof[i] for prof in profiles) for i in range(len(profiles[0]))
-    )
-    S0 = frozenset({Place(2)}) if offending else frozenset()
-    return s, elements, cond_b, S0
+_TWO = frozenset({Place(2)})
 
 
 def special_case(field: FieldDescriptor, m: int, S) -> SpecialCaseReport:
@@ -115,25 +91,41 @@ def special_case(field: FieldDescriptor, m: int, S) -> SpecialCaseReport:
 
     The special case needs all of: (b) -1 and +-(2 + eta) are nonsquares
     in the field, (c) 2^{s+1} divides m, (d) every place above 2 where
-    those elements stay locally nonsquare already lies in S.
+    those elements stay locally nonsquare (the set S0) already lies in S.
+    Over Q(sqrt d), with d = 1 for Q, (b) and S0 depend on d alone:
+
+    - (b) holds iff d is neither -1 nor -2.  A rational x is a square in
+      Q(sqrt d) iff x or d*x is a rational square, as (a + b sqrt d)^2 is
+      rational only when ab = 0.  So for s = 2 the elements -1, 2, -2 are
+      squares only for d = -1, 2, -2, and d = 2 has s = 3.  Over
+      Q(sqrt 2), 2 +- sqrt 2 has norm 2, no rational square.
+    - S0 is empty iff d = 7 (mod 8), or d = 2d' != 2 with d' = +-1
+      (mod 8); otherwise S0 = {2}.  A 2-adic unit is a square iff it is
+      1 mod 8, so -1, 2 and -2 are nonsquares in Q_2: that settles Q and
+      every split d = 1 (mod 8).  In a nonsplit Q_2(sqrt d) a rational x
+      is a square iff x or d*x is a square in Q_2, and of -d, 2d, -2d
+      only -d (d odd) or +-2d = +-4d' (d even) can be.  Over Q(sqrt 2),
+      -1 stays a nonsquare (-1, -2 are nonsquares in Q_2) and
+      2 +- sqrt 2 has norm 2, no square in Q_2.
     """
     if m < 1:
         raise ValidationError(f"bad exponent {m}")
-    s, elements, cond_b, S0 = _field_data(field)
-    cond_c = m % 2 == 0 and valuation(m, 2) > s
-    cond_d = S0 <= frozenset(S)
+    d = field.d
+    s = s_invariant(field)
+    empty = d % 8 == 7 or (d % 2 == 0 and d != 2 and d // 2 % 8 in (1, 7))
+    S0 = frozenset() if empty else _TWO
 
     failed = None
-    if not cond_b:
+    if d in (-1, -2):
         failed = "b"
-    elif not cond_c:
+    elif valuation(m, 2) <= s:
         failed = "c"
-    elif not cond_d:
+    elif not S0 <= frozenset(S):
         failed = "d"
     if failed is not None:
         return SpecialCaseReport(False, s, None, None, S0, failed)
 
-    x0, x1 = _power_coords(*elements[1], field.d, m // 2)
+    x0, x1 = _power_coords(2, 1 if d == 2 else 0, d, m // 2)
     if x1 == 0:
         return SpecialCaseReport(True, s, x0, None, S0, None)
     return SpecialCaseReport(True, s, None, (x0, x1), S0, None)

@@ -15,8 +15,17 @@ from grunwald.characters import (
     local_component,
     primitive_slots,
 )
-from grunwald.core_arith import Place, components, dlog_units, factor, unit_group
+from grunwald.core_arith import (
+    Place,
+    components,
+    dlog_units,
+    factor,
+    unit_group,
+    unit_residue,
+    valuation_rational,
+)
 from grunwald.errors import ValidationError
+from grunwald.wang_special import _require_squarefree
 
 
 def verify_product_formula(chi: DirichletCharacter, x: Fraction) -> bool:
@@ -98,3 +107,76 @@ def ratio_c_decile_maxima(records, max_conductor: int) -> list[float]:
         d = min(9, (rec.conductor - 1) * 10 // max_conductor)
         out[d] = max(out[d], rec.ratio_c)
     return out
+
+
+def is_square_rational(x: Fraction) -> bool:
+    x = Fraction(x)
+    return x >= 0 and all(math.isqrt(n) ** 2 == n for n in (x.numerator, x.denominator))
+
+
+def is_square_in_q2(x: Fraction) -> bool:
+    x = Fraction(x)
+    if x == 0:
+        return True
+    return valuation_rational(x, 2) % 2 == 0 and unit_residue(x, 2, 3) == 1
+
+
+def two_adic_square_profile(
+    x0: Fraction, x1: Fraction, d: int
+) -> tuple[bool, ...]:
+    """Squareness of x0 + x1*sqrt(d) in each completion of Q(sqrt d) above 2.
+
+    d = 1 denotes the base field Q (a single place); split d (d = 1 mod 8)
+    has two places, every other d one.  Decided for rational elements, and
+    for irrational ones at a single place whose norm is not a square in
+    Q_2 (the norm of a square is a square).  That covers every element
+    special_case tests; any other element raises ValidationError.
+    """
+    x0, x1 = Fraction(x0), Fraction(x1)
+    if d == 1:
+        return (is_square_in_q2(x0 + x1),)
+    _require_squarefree(d)
+    if x0 == 0 and x1 == 0:
+        raise ValidationError("square test of zero")
+    if x1 == 0:
+        if d % 8 == 1:
+            r = is_square_in_q2(x0)
+            return (r, r)
+        return (is_square_in_q2(x0) or is_square_in_q2(x0 * d),)
+    if d % 8 != 1 and not is_square_in_q2(x0 * x0 - x1 * x1 * d):
+        return (False,)
+    raise ValidationError(
+        f"2-adic square test of {x0} + {x1}*sqrt({d}) is not implemented"
+    )
+
+
+def is_square_in_quadratic_field(x0: Fraction, x1: Fraction, d: int) -> bool:
+    """Exact squareness of x0 + x1*sqrt(d) in the field Q(sqrt d); d=1 means Q."""
+    x0, x1 = Fraction(x0), Fraction(x1)
+    if d == 1:
+        return x0 + x1 >= 0 and is_square_rational(x0 + x1)
+    _require_squarefree(d)
+    if x1 == 0:
+        return is_square_rational(x0) or (x0 != 0 and is_square_rational(x0 / d))
+    n = x0 * x0 - x1 * x1 * d
+    if n < 0 or not is_square_rational(n):
+        return False
+    t = Fraction(math.isqrt(n.numerator), math.isqrt(n.denominator))
+    return any(
+        w != 0 and is_square_rational(w) for w in ((x0 + t) / 2, (x0 - t) / 2)
+    )
+
+
+def wang_field_reference(d: int):
+    """(s, condition (b), S0) of Wang's special case over Q(sqrt d), d = 1
+    for Q, from the square tests above on -1 and +-(2 + eta_{2^s}):
+    s = 3 iff eta_8 = sqrt 2 lies in the field."""
+    if is_square_in_quadratic_field(Fraction(2), Fraction(0), d):
+        s, eta = 3, Fraction(1)
+    else:
+        s, eta = 2, Fraction(0)
+    elements = ((Fraction(-1), Fraction(0)), (Fraction(2), eta), (Fraction(-2), -eta))
+    cond_b = not any(is_square_in_quadratic_field(x0, x1, d) for x0, x1 in elements)
+    profiles = [two_adic_square_profile(x0, x1, d) for x0, x1 in elements]
+    offending = any(not any(at_place) for at_place in zip(*profiles))
+    return s, cond_b, frozenset({Place(2)}) if offending else frozenset()

@@ -81,9 +81,14 @@ def test_report_contains_bound_fields(capsys, wang_file):
 def test_report_bad_epsilon_prints_nothing(capsys, wang_file):
     assert run(["report", "--instance", wang_file, "--epsilon", "0"]) == 2
     assert run(["report", "--instance", wang_file, "--epsilon", "-1"]) == 2
+    assert run(["report", "--instance", wang_file, "--epsilon", "nan"]) == 2
+    assert run(["report", "--instance", wang_file, "--epsilon", "inf"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.splitlines() == ["error: epsilon must be positive"] * 2
+    assert captured.err.splitlines() == ["error: epsilon must be positive"] * 2 + [
+        "error: epsilon must be finite, not nan",
+        "error: epsilon must be finite, not inf",
+    ]
 
 
 def test_least_prime(capsys):
@@ -135,7 +140,16 @@ def test_scan_bad_epsilon_leaves_out_file_alone(capsys, tmp_path):
     kept.write_text("keep\n")
     assert run(["scan", "--max-conductor", "40", "--epsilon", "-1", "--out", str(kept)]) == 2
     assert kept.read_text() == "keep\n"
-    assert capsys.readouterr().err.splitlines() == ["error: epsilon must be positive"] * 2
+    for bad in ("nan", "inf"):
+        assert run(["scan", "--max-conductor", "10", "--epsilon", bad, "--out", str(missing)]) == 2
+        assert run(["scan", "--max-conductor", "10", "--epsilon", bad, "--out", str(kept)]) == 2
+    assert not missing.exists()
+    assert kept.read_text() == "keep\n"
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: epsilon must be positive"] * 2 + [
+        f"error: epsilon must be finite, not {bad}" for bad in ("nan", "inf") for _ in "ab"
+    ]
 
 
 def test_scan_bad_cap_leaves_out_file_alone(capsys, tmp_path):
@@ -234,6 +248,13 @@ def test_bad_instance_payload(tmp_path, capsys):
     path.write_text('{"m": 8,')
     assert run(["construct", "--instance", str(path)]) == 2
     assert capsys.readouterr().err.startswith("error: cannot parse instance file: ")
+    # a JSON float is refused, not truncated to an integer
+    path.write_text('{"m": 4.9, "places": [{"place": "5", "conductor_exponent": 1.7, "unit_exponents": [1.2]}]}')
+    assert run(["construct", "--instance", str(path)]) == 2
+    assert run(["report", "--instance", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: bad exponent entry 4.9\n" * 2
     # a quadratic field parses but is refused; a d that is not squarefree
     # fails the squarefree check, with its own message
     path.write_text(json.dumps({**WANG, "field": "Qsqrt:5"}))

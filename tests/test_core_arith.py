@@ -21,7 +21,6 @@ from grunwald.core_arith import (
     dlog_units,
     factor,
     is_prime,
-    is_square_rational,
     power_residue_table,
     prime_power,
     primes_stream,
@@ -32,6 +31,7 @@ from grunwald.core_arith import (
 )
 from grunwald.characters import evaluate_local, local_character, sign_local, unramified_local
 from grunwald.errors import NonUnitError, ValidationError
+from reference import is_square_rational
 
 
 def trial_division_prime(n: int) -> bool:

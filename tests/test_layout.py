@@ -167,6 +167,6 @@ def lru_caches() -> dict[str, object]:
 def test_every_lru_cache_is_bounded():
     caches = lru_caches()
     # the check sees the caches it is meant to bound
-    assert {"solver._auxiliary_primes", "core_arith.factor", "wang_special._field_data"} <= set(caches)
+    assert {"solver._auxiliary_primes", "core_arith.factor", "core_arith.components"} <= set(caches)
     unbounded = sorted(name for name, cache in caches.items() if cache.cache_info().maxsize is None)
     assert not unbounded, "unbounded lru_cache: " + ", ".join(unbounded)

@@ -127,8 +127,11 @@ def test_scan_with_s_skips_places():
 
 
 def test_scan_rejects_bad_epsilon():
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="epsilon must be positive"):
         next(iter(scan_family(10, epsilon=0.0)))
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValidationError, match="epsilon must be finite"):
+            next(iter(scan_family(10, epsilon=bad)))
 
 
 def test_decile_maxima():

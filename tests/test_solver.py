@@ -1230,6 +1230,21 @@ def test_instance_from_dict_validation():
         instance_from_dict([4])
     with pytest.raises(ValidationError, match="bad exponent entry 'four'"):
         instance_from_dict({"m": "four", "places": []})
+    # JSON floats and booleans are refused, not truncated or read as 0 and 1
+    with pytest.raises(ValidationError, match="bad exponent entry 4.9"):
+        instance_from_dict({"m": 4.9, "places": []})
+    with pytest.raises(ValidationError, match="bad exponent entry 4.0"):
+        instance_from_dict({"m": 4.0, "places": []})
+    with pytest.raises(ValidationError, match="bad exponent entry True"):
+        instance_from_dict({"m": True, "places": []})
+    for key, value in (
+        ("conductor_exponent", 1.7),
+        ("unit_exponents", [1.2]),
+        ("uniformizer_exponent", 1.0),
+        ("sign_exponent", True),
+    ):
+        with pytest.raises(ValidationError, match="bad place record"):
+            instance_from_dict({"m": 4, "places": [{"place": 5, key: value}]})
     with pytest.raises(ValidationError, match="place record must be a mapping"):
         instance_from_dict({"m": 4, "places": [3]})
     with pytest.raises(ValidationError, match="missing key 'place'"):

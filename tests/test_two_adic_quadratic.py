@@ -6,7 +6,8 @@ Q_2.  That identity (plus exact global squares and a few algebraic
 fixtures) is the reference.  An irrational element is decided only at a
 single place and only when its norm is a nonsquare in Q_2, which covers
 the critical elements of the special case; every other irrational element
-must be refused, never answered.
+must be refused, never answered.  The square tests live in
+`tests/reference.py`, the reference for `special_case`'s closed form.
 """
 
 from fractions import Fraction
@@ -15,12 +16,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from grunwald.core_arith import (
-    is_square_in_q2,
-    is_square_in_quadratic_field,
-    two_adic_square_profile,
-)
 from grunwald.errors import ValidationError
+from reference import is_square_in_q2, is_square_in_quadratic_field, two_adic_square_profile
 
 SQUAREFREE = [-10, -7, -6, -5, -3, -2, -1, 2, 3, 5, 6, 7, 10, 11, 13, 14, 15, 17, 21, 33, 41, 57, 73]
 

@@ -13,7 +13,7 @@ from grunwald import (
 )
 from grunwald.core_arith import Place, primes_stream, valuation
 from grunwald.errors import ValidationError
-from grunwald.wang_special import _field_data
+from reference import wang_field_reference
 
 Q = FieldDescriptor(1)
 
@@ -79,14 +79,32 @@ def test_special_case_over_q_iff_two_in_s():
 
 
 def test_special_case_over_q_grid():
-    # the per-field part is cached; m and S still decide every answer
+    # m and S decide every answer over Q
     places = (2, 3, 5, 7, None)
     for m in range(1, 65):
         for k in range(len(places) + 1):
             for chosen in itertools.combinations(places, k):
                 rep = special_case(Q, m, S(*chosen))
                 assert rep.occurs == (m % 8 == 0 and 2 in chosen), (m, chosen)
-    assert _field_data.cache_info().maxsize is not None
+
+
+def squarefree_up_to(bound):
+    for n in range(2, bound + 1):
+        if all(n % (p * p) for p in range(2, math.isqrt(n) + 1)):
+            yield n
+            yield -n
+
+
+def test_field_closed_form_matches_square_tests():
+    # s, (b) and S0 from d alone agree with the square tests on -1 and
+    # +-(2 + eta) over Q and every squarefree |d| <= 3000
+    fields = [1, -1, *squarefree_up_to(3000)]
+    assert len(fields) == 3648
+    for d in fields:
+        rep = special_case(FieldDescriptor(d), 16, S(2))  # (c) and (d) hold
+        s, cond_b, S0 = wang_field_reference(d)
+        assert (rep.s, rep.failed_condition != "b", rep.S0) == (s, cond_b, S0), d
+        assert rep.failed_condition in (None, "b"), d
 
 
 def test_special_case_needs_eight():
