@@ -24,7 +24,10 @@ and message):
   squarefree d with |d| <= 200, each m <= 64 and each of a few place sets
   with and without the real place;
 - `scan`: the CSV that `write_scan_csv(scan_family(1000))` writes, hashed
-  whole, with its record count in place of a call count.
+  whole, with its record count in place of a call count;
+- `scan_s`: the same for `scan_family(400)` with S = {2, 3, 7, infinity}
+  and cap 13, so that the witness search skips places of S and passes
+  its cap (flagged rows).
 
 Equal lines in two checkouts mean byte-identical outputs.  The package is
 imported from this checkout's `src/`, and the workloads are read from its
@@ -57,6 +60,9 @@ POWRES_PRIMES = tuple(itertools.takewhile(lambda p: p <= 47, primes_stream()))
 POWRES_L = (2, 3, 5, 7, 11, 13)
 POWRES_TOP = 200
 SCAN_MAX_CONDUCTOR = 1000
+SCAN_S_MAX_CONDUCTOR = 400
+SCAN_S = (Place(2), Place(3), Place(7), Place(None))
+SCAN_S_CAP = 13
 WANG_MAX_D = 200
 WANG_MAX_M = 64
 WANG_PLACE_SETS = ((), (2,), (3,), (2, 3), (None,), (2, None), (7, None), (2, 3, 5, 7, None))
@@ -149,9 +155,13 @@ def main():
                 digest.update(line.encode() + b"\n")
                 count += 1
             print(f"{name} {count} {digest.hexdigest()}", flush=True)
-    out = io.StringIO()
-    count = write_scan_csv(scan_family(SCAN_MAX_CONDUCTOR), out)
-    print(f"scan {count} {hashlib.sha256(out.getvalue().encode()).hexdigest()}", flush=True)
+    for name, records in (
+        ("scan", scan_family(SCAN_MAX_CONDUCTOR)),
+        ("scan_s", scan_family(SCAN_S_MAX_CONDUCTOR, SCAN_S, cap=SCAN_S_CAP)),
+    ):
+        out = io.StringIO()
+        count = write_scan_csv(records, out)
+        print(f"{name} {count} {hashlib.sha256(out.getvalue().encode()).hexdigest()}", flush=True)
 
 
 if __name__ == "__main__":

@@ -213,9 +213,8 @@ class Place:
 
 @dataclass(frozen=True)
 class UnitGroupStructure:
-    """Cyclic decomposition of (Z/N)^* on canonical generators."""
+    """Orders of the canonical generators of (Z/N)^* (see dlog_units)."""
 
-    generators: tuple[int, ...]
     orders: tuple[int, ...]
 
 
@@ -223,15 +222,14 @@ class UnitGroupStructure:
 class UnitComponent:
     """The p-part of (Z/N)^* for one prime power p^k dividing N exactly.
 
-    `generators` are CRT-lifted residues mod N (congruent to 1 modulo the
-    complementary part); `local_generators` are the same residues mod p^k.
-    `offset` locates this component's slots in the full exponent vector.
+    `local_generators` are its canonical generators as residues mod p^k,
+    of the given `orders`; `offset` locates this component's slots in the
+    full exponent vector.
     """
 
     prime: int
     exponent: int
     prime_power: int
-    generators: tuple[int, ...]
     local_generators: tuple[int, ...]
     orders: tuple[int, ...]
     offset: int
@@ -269,23 +267,13 @@ def components(N: int) -> tuple[UnitComponent, ...]:
             local: tuple[int, ...] = (pk - 1, 5)[: len(orders)]
         else:
             local = (_primitive_root_mod_pk(p, k),)
-        cof = N // pk
-        if cof == 1:
-            lifted = local
-        else:
-            inv = pow(cof, -1, pk)
-            lifted = tuple((1 + cof * ((g - 1) * inv % pk)) % N for g in local)
-        out.append(UnitComponent(p, k, pk, lifted, local, orders, offset))
+        out.append(UnitComponent(p, k, pk, local, orders, offset))
         offset += len(local)
     return tuple(out)
 
 
 def unit_group(N: int) -> UnitGroupStructure:
-    comps = components(N)
-    return UnitGroupStructure(
-        tuple(g for c in comps for g in c.generators),
-        tuple(o for c in comps for o in c.orders),
-    )
+    return UnitGroupStructure(tuple(o for c in components(N) for o in c.orders))
 
 
 # Baby steps kept by one BSGS table, so orders up to 2^32.  Every benchmark
@@ -318,7 +306,12 @@ def _bsgs(g: int, x: int, modulus: int, order: int) -> int:
 
 
 def dlog_units(N: int, x: int) -> tuple[int, ...]:
-    """Exponent vector of x on the canonical generators of (Z/N)^*."""
+    """Exponent vector of x on the canonical generators of (Z/N)^*.
+
+    Those are the local generators of components(N), in order, each lifted
+    by CRT to the unit mod N that is 1 modulo the other prime powers; the
+    vector is read one prime power at a time and never needs the lifts.
+    """
     if N == 1:
         return ()
     x %= N

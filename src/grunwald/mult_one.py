@@ -8,9 +8,10 @@ epsilon of room (ratio_b), and squared-logarithmic (ratio_c).  Only the
 shapes are meaningful — the implied constants are not effective — so the
 output is ratio statistics, never pass/fail thresholds.
 
-The scan deliberately computes its discrete logarithms by direct unit
-enumeration per modulus, independent of the baby-step giant-step tables
-used elsewhere, so tests can cross-validate the two routes.
+least_nonsplit_prime and the scan read a character's value at p from
+dlog_units(f, p), taken once per prime and conductor by one witness
+search.  The tests check that search against a table built by enumerating
+the unit group (tests/reference.py).
 """
 
 from __future__ import annotations
@@ -19,14 +20,8 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .characters import (
-    DirichletCharacter,
-    character_order,
-    evaluate,
-    primitive_slots,
-    primitivize,
-)
-from .core_arith import components, primes_stream, unit_group
+from .characters import DirichletCharacter, character_order, primitive_slots, primitivize
+from .core_arith import components, dlog_units, primes_stream
 from .errors import NoWitnessError, SearchCapError, ValidationError, check_epsilon
 
 CSV_HEADER = "conductor,modulus,char_exponents,S,least_prime,log_A,ratio_A,ratio_B,ratio_C"
@@ -39,6 +34,31 @@ class PrimeWitness:
     value_exponent: int
 
 
+def _witness_search(f: int, skip, cap: int):
+    """least(exps, mu): (p, t) for the least prime p <= cap outside skip and
+    prime to f where the character mod f with exponents exps (zeta_mu) has
+    the value t != 0, or None.  Each p gets dlog_units(f, p) once, however
+    many characters mod f ask."""
+    primes = (p for p in primes_stream() if p not in skip and f % p)
+    logs: list[tuple[int, tuple[int, ...]]] = []
+
+    def least(exps, mu):
+        i = 0
+        while True:
+            if i == len(logs):
+                p = next(primes)
+                if p > cap:
+                    return None
+                logs.append((p, dlog_units(f, p)))
+            p, vec = logs[i]
+            t = sum(e * v for e, v in zip(exps, vec)) % mu
+            if t:
+                return p, t
+            i += 1
+
+    return least
+
+
 def least_nonsplit_prime(chi: DirichletCharacter, S=(), cap: int = 10**8) -> PrimeWitness:
     """Least prime outside S, coprime to the conductor, where chi != 1."""
     if cap < 1:
@@ -47,15 +67,11 @@ def least_nonsplit_prime(chi: DirichletCharacter, S=(), cap: int = 10**8) -> Pri
     if character_order(prim) == 1:
         raise NoWitnessError("the trivial character is 1 at every prime")
     skip = {v.prime for v in S if not v.is_real}
-    f = prim.modulus
-    for p in primes_stream():
-        if p > cap:
-            raise SearchCapError(f"no witness prime up to {cap}")
-        if p in skip or f % p == 0:
-            continue
-        t = evaluate(prim, p)
-        if t:
-            return PrimeWitness(p, p, t)
+    found = _witness_search(prim.modulus, skip, cap)(prim.exponents, prim.exponent_modulus)
+    if found is None:
+        raise SearchCapError(f"no witness prime up to {cap}")
+    p, t = found
+    return PrimeWitness(p, p, t)
 
 
 @dataclass(frozen=True)
@@ -70,23 +86,6 @@ class ScanRecord:
     ratio_b: float
     ratio_c: float
     cap_exceeded: bool = False
-
-
-def _dlog_table(f: int) -> dict[int, tuple[int, ...]]:
-    """residue -> exponent vector on the canonical generators, by direct
-    enumeration of the unit group (no baby-step giant-step)."""
-    ug = unit_group(f)
-    table = {1 % f: (0,) * len(ug.generators)}
-    for idx, (g, o) in enumerate(zip(ug.generators, ug.orders)):
-        base = list(table.items())
-        x = 1
-        for e in range(1, o):
-            x = x * g % f
-            for res, vec in base:
-                w = list(vec)
-                w[idx] = e
-                table[res * x % f] = tuple(w)
-    return table
 
 
 def scan_family(max_conductor: int, S=(), epsilon: float = 0.1, cap: int = 10**8):
@@ -107,49 +106,25 @@ def scan_family(max_conductor: int, S=(), epsilon: float = 0.1, cap: int = 10**8
         slots = [s for c in comps for s in primitive_slots(c.prime, c.exponent, mu)]
         if not all(slots):  # no primitive character mod f, e.g. f = 2 mod 4
             continue
-        table = _dlog_table(f)
-        candidates: list[tuple[int, tuple[int, ...]]] = []
-        stream = primes_stream()
-
-        def candidate(i: int):
-            while len(candidates) <= i:
-                p = next(stream)
-                if p > cap:
-                    return None
-                if p in skip:
-                    continue
-                vec = table.get(p % f)
-                if vec is not None:
-                    candidates.append((p, vec))
-            return candidates[i]
-
+        least = _witness_search(f, skip, cap)
         log_a = math.log(f * norm_s)
         denom_b = f ** (0.5 + epsilon) * norm_s**epsilon
         for exps in itertools.product(*slots):
-            i = 0
-            found = None
-            while True:
-                cand = candidate(i)
-                if cand is None:
-                    break
-                p, vec = cand
-                if sum(t * e for t, e in zip(exps, vec)) % mu:
-                    found = p
-                    break
-                i += 1
+            found = least(exps, mu)
             if found is None:
                 yield ScanRecord(f, f, exps, norm_s, 0, log_a, 0.0, 0.0, 0.0, True)
                 continue
+            p = found[0]
             yield ScanRecord(
                 f,
                 f,
                 exps,
                 norm_s,
-                found,
+                p,
                 log_a,
-                math.log(found) / log_a,
-                found / denom_b,
-                found / log_a**2,
+                math.log(p) / log_a,
+                p / denom_b,
+                p / log_a**2,
             )
 
 

@@ -873,10 +873,11 @@ _PLACE_KEYS = {
 
 
 def _int_entry(value) -> int:
-    """An integer of an instance record: JSON floats and booleans are refused."""
-    if isinstance(value, (bool, float)):
+    """An integer of an instance record: only a JSON integer, so booleans,
+    floats and strings are refused, not read as numbers."""
+    if type(value) is not int:
         raise TypeError(value)
-    return int(value)
+    return value
 
 
 def instance_from_dict(data: dict) -> GrunwaldInstance:
@@ -889,12 +890,15 @@ def instance_from_dict(data: dict) -> GrunwaldInstance:
         raise ValidationError("missing key 'm'")
     try:
         m = _int_entry(data["m"])
-    except (TypeError, ValueError):
+    except TypeError:
         raise ValidationError(f"bad exponent entry {data['m']!r}") from None
     if "field" in data and not FieldDescriptor.parse(data["field"]).is_rational:
         raise ValidationError("solving is implemented over Q only")
+    places = data.get("places", [])
+    if not isinstance(places, list):  # a JSON list, never a string read as one
+        raise ValidationError(f"bad places entry {places!r}")
     chars = []
-    for rec in data.get("places", []):
+    for rec in places:
         if not isinstance(rec, dict):
             raise ValidationError("place record must be a mapping")
         for key in rec:
@@ -903,13 +907,16 @@ def instance_from_dict(data: dict) -> GrunwaldInstance:
         if "place" not in rec:
             raise ValidationError("missing key 'place'")
         try:
+            units = rec.get("unit_exponents", [])
+            if not isinstance(units, list):
+                raise TypeError(units)
             place = Place.parse(str(rec["place"]))
             chars.append(
                 local_character(
                     place,
                     m,
                     _int_entry(rec.get("conductor_exponent", 0)),
-                    tuple(_int_entry(t) for t in rec.get("unit_exponents", ())),
+                    tuple(_int_entry(t) for t in units),
                     _int_entry(rec.get("uniformizer_exponent", 0)),
                     _int_entry(rec.get("sign_exponent", 0)),
                 )

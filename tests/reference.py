@@ -98,6 +98,39 @@ def unit_row_system(instance, M: int):
     return rows, rhs
 
 
+def crt_generators(N: int) -> tuple[int, ...]:
+    """The canonical generators of (Z/N)^* as residues mod N: each local
+    generator of components(N), lifted by CRT to be 1 modulo the
+    complementary part, in the order of dlog_units' exponent vector."""
+    out = []
+    for c in components(N):
+        pk = c.prime_power
+        cof = N // pk
+        if cof == 1:
+            out += c.local_generators
+        else:
+            inv = pow(cof, -1, pk)
+            out += ((1 + cof * ((g - 1) * inv % pk)) % N for g in c.local_generators)
+    return tuple(out)
+
+
+def unit_dlog_table(f: int) -> dict[int, tuple[int, ...]]:
+    """residue -> exponent vector on the canonical generators, by direct
+    enumeration of the unit group (no baby-step giant-step)."""
+    generators = crt_generators(f)
+    table = {1 % f: (0,) * len(generators)}
+    for idx, (g, o) in enumerate(zip(generators, unit_group(f).orders)):
+        base = list(table.items())
+        x = 1
+        for e in range(1, o):
+            x = x * g % f
+            for res, vec in base:
+                w = list(vec)
+                w[idx] = e
+                table[res * x % f] = tuple(w)
+    return table
+
+
 def ratio_c_decile_maxima(records, max_conductor: int) -> list[float]:
     """Max ratio_c per conductor decile (flagged records ignored)."""
     out = [0.0] * 10

@@ -255,6 +255,13 @@ def test_bad_instance_payload(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: bad exponent entry 4.9\n" * 2
+    # so is a JSON string, even one that spells an integer
+    path.write_text('{"m": "4", "places": []}')
+    assert run(["construct", "--instance", str(path)]) == 2
+    assert capsys.readouterr().err == "error: bad exponent entry '4'\n"
+    path.write_text('{"m": 4, "places": [{"place": 5, "conductor_exponent": 1, "unit_exponents": "1"}]}')
+    assert run(["construct", "--instance", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: bad place record ")
     # a quadratic field parses but is refused; a d that is not squarefree
     # fails the squarefree check, with its own message
     path.write_text(json.dumps({**WANG, "field": "Qsqrt:5"}))

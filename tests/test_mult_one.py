@@ -2,7 +2,8 @@
 
 least_nonsplit_prime is checked against a naive prime-by-prime loop using
 only evaluate(); the scan's per-conductor character lists are checked
-against the generic character iterator.
+against the generic character iterator, and its witnesses against a
+search on a table of every unit (reference.unit_dlog_table).
 """
 
 import dataclasses
@@ -26,7 +27,7 @@ from grunwald import (
 )
 from grunwald.core_arith import Place, primes_stream
 from grunwald.errors import NoWitnessError, SearchCapError, ValidationError
-from reference import iter_characters, ratio_c_decile_maxima
+from reference import iter_characters, ratio_c_decile_maxima, unit_dlog_table
 
 
 def naive_least_nonsplit(chi, skip=()):
@@ -98,13 +99,40 @@ def test_scan_counts_and_primitivity():
         # explicit conductor filter, independent of the scan's slot rule
         want = sum(1 for chi in iter_characters(f) if conductor(chi).norm == f) if f > 2 and f % 4 != 2 else 0
         assert len(by_f.get(f, [])) == want, f
-    # all witnesses validate against the BSGS evaluation route
+    # all witnesses validate against a prime-by-prime loop on evaluate(),
+    # which shares no witness search with the scan
     for rec in records:
         mu = math.lcm(*unit_group(rec.conductor).orders)
         chi = make_dirichlet(rec.conductor, rec.char_exponents, mu)
         assert conductor(chi).finite_part.value == rec.conductor
-        w = least_nonsplit_prime(chi)
-        assert w.prime == rec.least_prime
+        assert naive_least_nonsplit(chi)[0] == rec.least_prime
+
+
+def table_least_prime(f, exps, skip=(), cap=10**8):
+    """The least prime <= cap outside skip where the character mod f with
+    exponents exps is nonzero, read from unit_dlog_table; 0 past cap."""
+    table = unit_dlog_table(f)
+    mu = math.lcm(1, *unit_group(f).orders)
+    for p in primes_stream():
+        if p > cap:
+            return 0
+        vec = table.get(p % f)
+        if p not in skip and vec is not None and sum(t * e for t, e in zip(exps, vec)) % mu:
+            return p
+
+
+@pytest.mark.parametrize("S, cap", [((), 10**8), ((Place(2), Place(7), Place(None)), 13)])
+def test_scan_matches_unit_enumeration(S, cap):
+    # the scan's witnesses (dlog_units) against a search on a table of every
+    # unit mod f, which takes no discrete log; cap 13 flags some records
+    skip = {v.prime for v in S if not v.is_real}
+    flagged = 0
+    for rec in scan_family(150, S=S, cap=cap):
+        want = table_least_prime(rec.conductor, rec.char_exponents, skip, cap)
+        assert rec.least_prime == want, rec
+        assert rec.cap_exceeded == (want == 0)
+        flagged += rec.cap_exceeded
+    assert (flagged > 0) == (cap == 13)
 
 
 def test_scan_record_ratios():

@@ -1266,6 +1266,27 @@ def test_instance_from_dict_validation():
         )
 
 
+@pytest.mark.parametrize(
+    "blob, message",
+    [
+        ({"m": "4", "places": []}, "bad exponent entry '4'"),
+        ({"m": 4, "places": ""}, "bad places entry ''"),
+        ({"m": 4, "places": {}}, "bad places entry {}"),
+        ({"m": 4, "places": [{"place": 5, "conductor_exponent": 1, "unit_exponents": "1"}]}, "bad place record"),
+        ({"m": 4, "places": [{"place": 2, "conductor_exponent": 4, "unit_exponents": "01"}]}, "bad place record"),
+        ({"m": 4, "places": [{"place": 5, "conductor_exponent": "1", "unit_exponents": [1]}]}, "bad place record"),
+        ({"m": 4, "places": [{"place": 5, "uniformizer_exponent": "3"}]}, "bad place record"),
+        ({"m": 4, "places": [{"place": "infinity", "sign_exponent": "1"}]}, "bad place record"),
+    ],
+)
+def test_instance_from_dict_refuses_strings(blob, message):
+    # only a JSON list passes for places and unit_exponents, and only a JSON
+    # integer for an integer field: a string is neither read as digits nor
+    # parsed as a number
+    with pytest.raises(ValidationError, match=message):
+        instance_from_dict(blob)
+
+
 def test_make_instance_rejects_mixed_moduli():
     with pytest.raises(ValidationError):
         GrunwaldInstance(4, (unramified_local(3, 8, 1),))
