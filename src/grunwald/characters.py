@@ -14,7 +14,7 @@ in local_component below, and the fixed slots of solver._prescribed_block
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .core_arith import (
@@ -31,12 +31,11 @@ from .core_arith import (
 from .errors import ValidationError
 
 
-@dataclass(frozen=True)
-class CycleValue:
-    """A formal cycle of Q: a finite part and a real-place bit."""
+class CycleValue(namedtuple("CycleValue", "finite_part real_bit")):
+    """A formal cycle of Q: a finite part (a FactoredInteger) and a
+    real-place bit."""
 
-    finite_part: FactoredInteger
-    real_bit: int
+    __slots__ = ()
 
     @property
     def norm(self) -> int:
@@ -105,21 +104,22 @@ def _minimize_unit_part(
     return kp, tuple(new)
 
 
-@dataclass(frozen=True, eq=False)
-class LocalCharacter:
+class LocalCharacter(
+    namedtuple(
+        "LocalCharacter",
+        "place exponent_modulus conductor_exponent unit_exponents"
+        " uniformizer_exponent sign_exponent",
+    )
+):
     """Finite-order character of Q_p^* or R^*, of exponent dividing
     exponent_modulus, with minimal conductor exponent.
 
     Equality is scale invariant: the same character written with a larger
-    exponent modulus compares equal.
+    exponent modulus compares equal.  `__ne__` is spelled out, since the
+    tuple's own would compare the raw fields.
     """
 
-    place: Place
-    exponent_modulus: int
-    conductor_exponent: int
-    unit_exponents: tuple[int, ...]
-    uniformizer_exponent: int
-    sign_exponent: int
+    __slots__ = ()
 
     def _key(self):
         m = self.exponent_modulus
@@ -136,6 +136,11 @@ class LocalCharacter:
         if not isinstance(other, LocalCharacter):
             return NotImplemented
         return self._key() == other._key()
+
+    def __ne__(self, other):
+        if not isinstance(other, LocalCharacter):
+            return NotImplemented
+        return self._key() != other._key()
 
     def __hash__(self):
         return hash(self._key())
@@ -186,15 +191,15 @@ def sign_local(m: int, sign_exponent: int) -> LocalCharacter:
     return local_character(Place(None), m, 0, (), 0, sign_exponent)
 
 
-@dataclass(frozen=True)
-class DirichletCharacter:
+class DirichletCharacter(
+    namedtuple("DirichletCharacter", "modulus exponent_modulus exponents")
+):
     """Character of (Z/modulus)^* as exponents on the canonical generators."""
 
-    modulus: int
-    exponent_modulus: int
-    exponents: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         orders = unit_group(self.modulus).orders
         if len(self.exponents) != len(orders):
             raise ValidationError(
@@ -208,6 +213,7 @@ class DirichletCharacter:
                 raise ValidationError(
                     "exponents incompatible with unit-group orders"
                 )
+        return self
 
 
 def make_dirichlet(N: int, exponents, m: int) -> DirichletCharacter:

@@ -10,7 +10,6 @@ stderr.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import sys
@@ -171,8 +170,8 @@ def _cmd_report(args) -> int:
     solution = construct(instance)
     _print_solution(solution)
     report = bound_report(instance, solution, args.epsilon)
-    for field in dataclasses.fields(report):
-        print(f"{field.name}={getattr(report, field.name)!r}")
+    for name, value in zip(report._fields, report):
+        print(f"{name}={value!r}")
     return 0
 
 

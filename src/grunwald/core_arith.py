@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
@@ -120,14 +120,14 @@ def _pollard_rho(n: int) -> int:
 _SMALL_PRIMES = tuple(itertools.islice(primes_stream(), 200))
 
 
-@dataclass(frozen=True)
-class FactoredInteger:
-    """A positive integer together with its prime factorization."""
+class FactoredInteger(namedtuple("FactoredInteger", "value factors")):
+    """A positive integer together with its prime factorization: value, and
+    factors as sorted (prime, exponent) pairs."""
 
-    value: int
-    factors: tuple[tuple[int, int], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         prod, prev = 1, 1
         for p, e in self.factors:
             if p <= prev or e < 1 or not is_prime(p):
@@ -136,6 +136,7 @@ class FactoredInteger:
             prod *= p**e
         if self.value < 1 or prod != self.value:
             raise ValidationError(f"factors do not recompose {self.value}")
+        return self
 
     def __str__(self) -> str:
         if not self.factors:
@@ -180,15 +181,16 @@ def valuation(n: int, p: int) -> int:
     return v
 
 
-@dataclass(frozen=True)
-class Place:
+class Place(namedtuple("Place", "prime", defaults=(None,))):
     """A place of Q: a finite prime, or the real place encoded as prime=None."""
 
-    prime: int | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.prime is not None and not is_prime(self.prime):
             raise ValidationError(f"not a prime: {self.prime}")
+        return self
 
     @classmethod
     def parse(cls, text: str) -> "Place":
@@ -211,15 +213,17 @@ class Place:
         return "infinity" if self.prime is None else str(self.prime)
 
 
-@dataclass(frozen=True)
-class UnitGroupStructure:
+class UnitGroupStructure(namedtuple("UnitGroupStructure", "orders")):
     """Orders of the canonical generators of (Z/N)^* (see dlog_units)."""
 
-    orders: tuple[int, ...]
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class UnitComponent:
+class UnitComponent(
+    namedtuple(
+        "UnitComponent", "prime exponent prime_power local_generators orders offset"
+    )
+):
     """The p-part of (Z/N)^* for one prime power p^k dividing N exactly.
 
     `local_generators` are its canonical generators as residues mod p^k,
@@ -227,12 +231,7 @@ class UnitComponent:
     full exponent vector.
     """
 
-    prime: int
-    exponent: int
-    prime_power: int
-    local_generators: tuple[int, ...]
-    orders: tuple[int, ...]
-    offset: int
+    __slots__ = ()
 
 
 def _primitive_root_mod_pk(p: int, k: int) -> int:

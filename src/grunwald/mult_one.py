@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .characters import DirichletCharacter, character_order, primitive_slots, primitivize
 from .core_arith import components, dlog_units, primes_stream
@@ -27,11 +27,8 @@ from .errors import NoWitnessError, SearchCapError, ValidationError, check_epsil
 CSV_HEADER = "conductor,modulus,char_exponents,S,least_prime,log_A,ratio_A,ratio_B,ratio_C"
 
 
-@dataclass(frozen=True)
-class PrimeWitness:
-    prime: int
-    norm: int
-    value_exponent: int
+class PrimeWitness(namedtuple("PrimeWitness", "prime norm value_exponent")):
+    __slots__ = ()
 
 
 def _witness_search(f: int, skip, cap: int):
@@ -74,18 +71,15 @@ def least_nonsplit_prime(chi: DirichletCharacter, S=(), cap: int = 10**8) -> Pri
     return PrimeWitness(p, p, t)
 
 
-@dataclass(frozen=True)
-class ScanRecord:
-    conductor: int
-    modulus: int
-    char_exponents: tuple[int, ...]
-    s_norm: int
-    least_prime: int
-    log_a: float
-    ratio_a: float
-    ratio_b: float
-    ratio_c: float
-    cap_exceeded: bool = False
+class ScanRecord(
+    namedtuple(
+        "ScanRecord",
+        "conductor modulus char_exponents s_norm least_prime log_a ratio_a ratio_b"
+        " ratio_c cap_exceeded",
+        defaults=(False,),
+    )
+):
+    __slots__ = ()
 
 
 def scan_family(max_conductor: int, S=(), epsilon: float = 0.1, cap: int = 10**8):

@@ -9,20 +9,18 @@ in the test suite.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .core_arith import factor, is_prime
 from .errors import ValidationError
 
 
-@dataclass(frozen=True)
-class PowerResidueAnswer:
+class PowerResidueAnswer(
+    namedtuple("PowerResidueAnswer", "modulus phi power_count class_order")
+):
     """The least modulus plus its certificate data."""
 
-    modulus: int
-    phi: int
-    power_count: int
-    class_order: int
+    __slots__ = ()
 
 
 def _phi(n: int) -> int:

@@ -37,13 +37,12 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from .characters import (
     CycleValue,
     DirichletCharacter,
-    LocalCharacter,
     _slice_conductor_exponent,
     character_order,
     conductor,
@@ -76,14 +75,13 @@ _KERNEL_LIMIT = 1 << 20
 _AUX_PRIME_CAP = 10**6
 
 
-@dataclass(frozen=True)
-class GrunwaldInstance:
+class GrunwaldInstance(namedtuple("GrunwaldInstance", "m local_characters")):
     """Exponent m = l^r plus prescribed local characters at distinct places."""
 
-    m: int
-    local_characters: tuple[LocalCharacter, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         prime_power(self.m)
         keys = [psi.place.sort_key() for psi in self.local_characters]
         if len(set(keys)) != len(keys):
@@ -95,6 +93,7 @@ class GrunwaldInstance:
                 raise ValidationError(
                     "local characters must be normalized to the instance exponent"
                 )
+        return self
 
     @property
     def places(self) -> tuple[Place, ...]:
@@ -132,16 +131,18 @@ def _rescale(t: int, old: int, new: int, place: Place) -> int:
     return (num // old) % new
 
 
-@dataclass(frozen=True)
-class GrunwaldSolution:
-    character: DirichletCharacter
-    exponent_achieved: int
-    special_case_flag: bool
-    aux_primes: tuple[int, ...]
-    cycle: CycleValue
-    # False when the solution lattice exceeded _KERNEL_LIMIT elements and
-    # the particular solution was returned without the least-conductor search
-    minimised: bool = True
+class GrunwaldSolution(
+    namedtuple(
+        "GrunwaldSolution",
+        "character exponent_achieved special_case_flag aux_primes cycle minimised",
+        defaults=(True,),
+    )
+):
+    """minimised is False when the solution lattice exceeded _KERNEL_LIMIT
+    elements and the particular solution was returned without the
+    least-conductor search."""
+
+    __slots__ = ()
 
     @property
     def conductor_norm(self) -> int:
@@ -804,8 +805,13 @@ def oracle_minimal(
     raise NoSolutionBelowCap(f"no exponent-{mu} solution with conductor <= {cap}")
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(
+    namedtuple(
+        "BoundReport",
+        "e delta delta_prime e1 n_places norm_s epsilon log_shape power_exponent"
+        " grh_shape achieved_log_conductor shape_ratio",
+    )
+):
     """Quantities entering the conductor bounds, plus the achieved value.
 
     log_shape is the unconditional log-conductor shape m*n_places*
@@ -814,18 +820,7 @@ class BoundReport:
     implied constants are not effective, so only ratios are reported.
     """
 
-    e: int
-    delta: int
-    delta_prime: int
-    e1: int
-    n_places: int
-    norm_s: int
-    epsilon: float
-    log_shape: float
-    power_exponent: float
-    grh_shape: float
-    achieved_log_conductor: float
-    shape_ratio: float
+    __slots__ = ()
 
 
 def bound_report(

@@ -11,7 +11,7 @@ S0) is a closed form in d, proved in `special_case`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .core_arith import Place, factor, valuation
@@ -25,15 +25,16 @@ def _require_squarefree(d: int) -> None:
         raise ValidationError(f"d not squarefree: {d}")
 
 
-@dataclass(frozen=True)
-class FieldDescriptor:
+class FieldDescriptor(namedtuple("FieldDescriptor", "d", defaults=(1,))):
     """Q (d = 1) or the quadratic field Q(sqrt d) for squarefree d."""
 
-    d: int = 1
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.d != 1:
             _require_squarefree(self.d)
+        return self
 
     @staticmethod
     def parse(text: str) -> "FieldDescriptor":
@@ -66,14 +67,10 @@ def s_invariant(field: FieldDescriptor) -> int:
     return 3 if field.d == 2 else 2
 
 
-@dataclass(frozen=True)
-class SpecialCaseReport:
-    occurs: bool
-    s: int
-    a0: Fraction | None
-    a0_coords: tuple[Fraction, Fraction] | None
-    S0: frozenset[Place]
-    failed_condition: str | None
+class SpecialCaseReport(
+    namedtuple("SpecialCaseReport", "occurs s a0 a0_coords S0 failed_condition")
+):
+    __slots__ = ()
 
 
 def _power_coords(x0: int, x1: int, d: int, n: int) -> tuple[Fraction, Fraction]:

@@ -207,6 +207,11 @@ def test_conductor_real_bit():
     assert conductor(odd).norm == 4
     even = make_dirichlet(8, (0, 1), 2)  # chi_8: even
     assert str(conductor(even)) == "2^3"
+    assert repr(conductor(odd)) == (
+        "CycleValue(finite_part=FactoredInteger(value=4, factors=((2, 2),)), real_bit=1)"
+    )
+    with pytest.raises(AttributeError):
+        conductor(odd).real_bit = 0
 
 
 def test_local_character_validation():
@@ -220,7 +225,15 @@ def test_local_character_validation():
     a = unramified_local(7, 4, 1)
     b = unramified_local(7, 8, 2)
     assert a == b and hash(a) == hash(b)
+    assert not a != b  # on the scale-invariant key too, not the raw fields
     assert a != unramified_local(7, 8, 1)
+    assert not a == unramified_local(7, 8, 1)
+    assert repr(a) == (
+        "LocalCharacter(place=Place(prime=7), exponent_modulus=4, conductor_exponent=0,"
+        " unit_exponents=(), uniformizer_exponent=1, sign_exponent=0)"
+    )
+    with pytest.raises(AttributeError):
+        a.uniformizer_exponent = 2
 
 
 def test_local_character_conductor_is_minimized():
@@ -236,5 +249,11 @@ def test_make_dirichlet_validation():
         make_dirichlet(5, (1, 2), 4)  # wrong vector length
     with pytest.raises(ValidationError):
         make_dirichlet(5, (1,), 3)  # 4*1 not divisible by 3
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="^exponents must be reduced$"):
         DirichletCharacter(5, 4, (7,))  # not reduced mod 4
+    with pytest.raises(ValidationError, match="^exponents must be reduced$"):
+        DirichletCharacter(modulus=5, exponent_modulus=4, exponents=(-1,))
+    chi = make_dirichlet(5, (1,), 4)
+    assert repr(chi) == "DirichletCharacter(modulus=5, exponent_modulus=4, exponents=(1,))"
+    with pytest.raises(AttributeError):
+        chi.exponents = (2,)

@@ -103,6 +103,12 @@ def test_factor_limit_bounds_the_rho_cofactor():
     assert str(factor(n)) == "2^100*3^5*257"
     comps = components(n)
     assert [(c.prime, c.exponent) for c in comps] == [(2, 100), (3, 5), (257, 1)]
+    assert repr(comps[2]) == (
+        "UnitComponent(prime=257, exponent=1, prime_power=257,"
+        " local_generators=(3,), orders=(256,), offset=3)"
+    )
+    with pytest.raises(AttributeError):
+        comps[2].offset = 0
     for g, o in zip(crt_generators(n), unit_group(n).orders):
         assert pow(g, o, n) == 1
         assert all(pow(g, o // q, n) != 1 for q, _ in factor(o).factors)
@@ -115,10 +121,16 @@ def test_factor_limit_bounds_the_rho_cofactor():
 
 
 def test_factored_integer_rejects_garbage():
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="^bad factorization for 12$"):
         FactoredInteger(12, ((4, 1), (3, 1)))
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="^factors do not recompose 12$"):
         FactoredInteger(12, ((2, 1), (3, 1)))
+    with pytest.raises(ValidationError, match="^bad factorization for 12$"):
+        FactoredInteger(value=12, factors=((3, 1), (2, 2)))  # unsorted
+    n = FactoredInteger(12, ((2, 2), (3, 1)))
+    assert repr(n) == "FactoredInteger(value=12, factors=((2, 2), (3, 1)))"
+    with pytest.raises(AttributeError):
+        n.value = 13
 
 
 def test_valuation():
@@ -146,6 +158,9 @@ def brute_unit_orders(N):
 @pytest.mark.parametrize("N", list(range(1, 257)) + [360, 512, 720, 1024, 2048, 4095])
 def test_unit_group_generates(N):
     ug = unit_group(N)
+    assert repr(ug) == f"UnitGroupStructure(orders={ug.orders!r})"
+    with pytest.raises(AttributeError):
+        ug.orders = ()
     units = set(brute_unit_orders(N))
     assert math.prod(ug.orders, start=1) == len(units)
     generated = {1 % N}
@@ -252,6 +267,13 @@ def test_place_basics():
     assert Place.parse("7") == Place(7)
     with pytest.raises(ValidationError, match="^not a prime: 10$"):
         Place(10)
+    with pytest.raises(ValidationError, match="^not a prime: 1$"):
+        Place(prime=1)
+    assert repr(Place(7)) == "Place(prime=7)" and repr(Place()) == "Place(prime=None)"
+    # the field tuple's hash, so sets of places keep their iteration order
+    assert hash(Place(7)) == hash((7,)) and hash(Place()) == hash((None,))
+    with pytest.raises(AttributeError):
+        Place(7).prime = 11
     ordering = sorted([Place(None), Place(5), Place(2)], key=Place.sort_key)
     assert [v.prime for v in ordering] == [2, 5, None]
 

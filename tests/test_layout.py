@@ -18,6 +18,10 @@ renamed or folded away leaves no mention behind.
 
 Every `functools.lru_cache` a `src/grunwald` module binds has a finite
 maxsize, so no cache grows for the life of a process.
+
+Importing `grunwald.cli` loads neither `dataclasses` nor `inspect`, which
+together cost about as much as the rest of the package's import: every
+`grunwald` command pays its import in a fresh process.
 """
 
 from __future__ import annotations
@@ -25,7 +29,10 @@ from __future__ import annotations
 import ast
 import importlib
 import io
+import os
 import re
+import subprocess
+import sys
 import tokenize
 from pathlib import Path
 
@@ -170,3 +177,19 @@ def test_every_lru_cache_is_bounded():
     assert {"solver._auxiliary_primes", "core_arith.factor", "core_arith.components"} <= set(caches)
     unbounded = sorted(name for name, cache in caches.items() if cache.cache_info().maxsize is None)
     assert not unbounded, "unbounded lru_cache: " + ", ".join(unbounded)
+
+
+def test_cli_import_loads_no_dataclasses():
+    # compared with a bare interpreter's modules, in fresh processes
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+
+    def loaded(code: str) -> set[str]:
+        out = subprocess.run(
+            [sys.executable, "-c", code + "; print(*sys.modules)"],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        return set(out.stdout.split())
+
+    added = loaded("import sys, grunwald.cli") - loaded("import sys")
+    assert "grunwald.cli" in added
+    assert not added & {"dataclasses", "inspect"}

@@ -6,7 +6,6 @@ against the generic character iterator, and its witnesses against a
 search on a table of every unit (reference.unit_dlog_table).
 """
 
-import dataclasses
 import io
 import math
 
@@ -59,6 +58,9 @@ def test_least_nonsplit_excludes_s():
     assert moved.prime > base.prime
     p, t = naive_least_nonsplit(chi, {base.prime})
     assert moved.prime == p
+    assert repr(base) == "PrimeWitness(prime=5, norm=5, value_exponent=1)"
+    with pytest.raises(AttributeError):
+        base.prime = 3
 
 
 def test_least_nonsplit_trivial_raises():
@@ -143,6 +145,13 @@ def test_scan_record_ratios():
     assert rec.ratio_a == pytest.approx(math.log(2) / math.log(A))
     assert rec.ratio_b == pytest.approx(2 / 3 ** 0.6)
     assert rec.ratio_c == pytest.approx(2 / math.log(A) ** 2)
+    assert repr(rec) == (
+        "ScanRecord(conductor=3, modulus=3, char_exponents=(1,), s_norm=1, least_prime=2,"
+        f" log_a={rec.log_a!r}, ratio_a={rec.ratio_a!r}, ratio_b={rec.ratio_b!r},"
+        f" ratio_c={rec.ratio_c!r}, cap_exceeded=False)"
+    )
+    with pytest.raises(AttributeError):
+        rec.cap_exceeded = True
 
 
 def test_scan_with_s_skips_places():
@@ -171,7 +180,7 @@ def test_decile_maxima():
         assert rec.ratio_c <= dec[d]
     assert max(dec) == max(rec.ratio_c for rec in records)
     # a flagged record counts in no decile, whatever its ratios say
-    flagged = dataclasses.replace(records[0], ratio_c=1e9, cap_exceeded=True)
+    flagged = records[0]._replace(ratio_c=1e9, cap_exceeded=True)
     assert ratio_c_decile_maxima(records + [flagged], 100) == dec
 
 

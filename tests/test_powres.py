@@ -68,6 +68,9 @@ def test_certificate_contents():
     assert ans.power_count == 2  # cubes mod 7 are {1, 6}
     assert ans.class_order == 3  # 2 generates a cube class of order 3
     assert ans.phi % ans.power_count == 0
+    assert repr(ans) == "PowerResidueAnswer(modulus=7, phi=6, power_count=2, class_order=3)"
+    with pytest.raises(AttributeError):
+        ans.modulus = 8
 
 
 @pytest.mark.parametrize("p", PRIMES)

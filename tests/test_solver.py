@@ -486,6 +486,13 @@ def test_wang_solution_conductor_544():
     # solve_character solves at 16 in the cycle it is given, built at 16
     cycle = build_cycle(make_instance(16, [WANG_PSI]), sol.aux_primes)
     assert solve_character(inst, cycle, sol.aux_primes) == sol
+    assert repr(sol) == (
+        f"GrunwaldSolution(character={sol.character!r}, exponent_achieved=16,"
+        f" special_case_flag=True, aux_primes=(3, 5, 17), cycle={sol.cycle!r},"
+        " minimised=True)"
+    )
+    with pytest.raises(AttributeError):
+        sol.minimised = False
 
 
 def test_wang_oracle_agrees_at_doubled_exponent():
@@ -1208,6 +1215,13 @@ def test_bound_report_shapes():
     assert rep.shape_ratio == pytest.approx(math.log(544) / (16 * math.log(16)))
     assert rep.power_exponent == pytest.approx(rep.e1 * (0.5 + rep.epsilon))
     assert rep.grh_shape == pytest.approx(math.log(2 * 2) ** (2 * (rep.e + rep.delta)))
+    assert repr(rep).startswith(
+        "BoundReport(e=2, delta=1, delta_prime=0, e1=9, n_places=2, norm_s=2, epsilon=0.1,"
+        f" log_shape={rep.log_shape!r}, power_exponent={rep.power_exponent!r},"
+        f" grh_shape={rep.grh_shape!r}, achieved_log_conductor="
+    )
+    with pytest.raises(AttributeError):
+        rep.epsilon = 0.2
 
 
 def test_bound_report_delta_refinement():
@@ -1288,8 +1302,17 @@ def test_instance_from_dict_refuses_strings(blob, message):
 
 
 def test_make_instance_rejects_mixed_moduli():
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="normalized to the instance exponent"):
         GrunwaldInstance(4, (unramified_local(3, 8, 1),))
+    at3, at5 = unramified_local(3, 4, 1), unramified_local(5, 4, 1)
+    with pytest.raises(ValidationError, match="^prescribed places must be sorted$"):
+        GrunwaldInstance(4, (at5, at3))
+    with pytest.raises(ValidationError, match="^prescribed places must be distinct$"):
+        GrunwaldInstance(m=4, local_characters=(at3, unramified_local(3, 4, 2)))
+    inst = GrunwaldInstance(4, (at3,))
+    assert repr(inst) == f"GrunwaldInstance(m=4, local_characters=({at3!r},))"
+    with pytest.raises(AttributeError):
+        inst.m = 8
     # but make_instance rescales compatible data
     inst = make_instance(4, [unramified_local(3, 8, 2)])
     assert inst.local_characters[0].exponent_modulus == 4

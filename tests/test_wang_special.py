@@ -26,8 +26,13 @@ def test_field_descriptor():
     assert FieldDescriptor.parse("Q") == Q == FieldDescriptor() and Q.is_rational
     f7 = FieldDescriptor.parse("Qsqrt:7")
     assert f7.d == 7 and not f7.is_rational and str(f7) == "Q(sqrt 7)"
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="^d not squarefree: 12$"):
         FieldDescriptor(12)
+    with pytest.raises(ValidationError, match="^d must be squarefree, not 0 or 1: 0$"):
+        FieldDescriptor(d=0)
+    assert repr(f7) == "FieldDescriptor(d=7)" and repr(Q) == "FieldDescriptor(d=1)"
+    with pytest.raises(AttributeError):
+        f7.d = 3
     with pytest.raises(ValidationError, match="cannot parse field 'Qsqrt:x'"):
         FieldDescriptor.parse("Qsqrt:x")
     # a parsed d that is not squarefree keeps the squarefree check's message
@@ -49,6 +54,12 @@ def test_special_case_fixture_q_8_2():
     assert rep.a0 == 16
     assert rep.S0 == frozenset(S(2))
     assert rep.failed_condition is None
+    assert repr(rep) == (
+        "SpecialCaseReport(occurs=True, s=2, a0=Fraction(16, 1), a0_coords=None,"
+        " S0=frozenset({Place(prime=2)}), failed_condition=None)"
+    )
+    with pytest.raises(AttributeError):
+        rep.occurs = False
 
 
 def test_special_case_fixture_qsqrt7():
