@@ -15,17 +15,24 @@ applied only to at least GAIN_MIN_PAIRS pairs; with fewer, BASE's
 interquartile range can be 0 and one won pair would read as a gain, so
 the header says so and no metric is marked `gain`.  `worse` marks a
 metric whose CHANGE median is worse than BASE's by more than its
-BENCHMARK.json bound, a share of BASE's median.  Standard library only.
+BENCHMARK.json bound, a share of BASE's median.  Above each workload's
+metrics it prints each side's median round count, read from `run.py`'s
+`workload NAME: N rounds` line: a faster tree fits more rounds into a
+run, and `peak_rss_mb`, a high-water mark that `run.py`'s children
+inherit, grows with them, so the count tells that rise from the
+program's own memory.  Standard library only.
 """
 
 import argparse
 import json
 import os
+import re
 import statistics
 import subprocess
 import sys
 
 GAIN_MIN_PAIRS = 10
+ROUNDS = re.compile(r"workload (\S+): (\d+) rounds")
 
 
 def run_once(tree, args):
@@ -37,9 +44,10 @@ def run_once(tree, args):
         sys.exit(f"error: {' '.join(cmd)} in {tree} exited {proc.returncode}\n{proc.stderr}")
     result = json.loads(lines[-1])
     values = {name: m["value"] for name, m in result["metrics"].items()}
-    print(f"  {tree}: failed {result['failed']}/{result['attempted']} "
+    rounds = {m[1]: int(m[2]) for line in lines if (m := ROUNDS.match(line))}
+    print(f"  {tree}: failed {result['failed']}/{result['attempted']} rounds {rounds} "
           + " ".join(f"{k}={v:.6g}" for k, v in values.items()), file=sys.stderr, flush=True)
-    return values
+    return values, rounds
 
 
 def quartiles(values):
@@ -61,10 +69,17 @@ def main():
         spec = {m["name"]: m for m in json.load(handle)["end_to_end"]}
 
     runs = ([], [])  # base, change
+    rounds = ([], [])
     for i in range(args.pairs):
         print(f"pair {i + 1}/{args.pairs}", file=sys.stderr, flush=True)
         for side in (0, 1) if i % 2 == 0 else (1, 0):
-            runs[side].append(run_once((args.base, args.change)[side], args))
+            values, counts = run_once((args.base, args.change)[side], args)
+            runs[side].append(values)
+            rounds[side].append(counts)
+
+    def print_rounds(workload):
+        base, change = (statistics.median(r[workload] for r in side) for side in rounds)
+        print(f"rounds: {base:g} -> {change:g} (median per run)")
 
     note = "" if args.pairs >= GAIN_MIN_PAIRS else f" (gain rule needs {GAIN_MIN_PAIRS} pairs)"
     print(f"{args.workload} seed {args.seed}, {args.pairs} pairs: median [q1, q3] base -> change{note}")
@@ -76,6 +91,7 @@ def main():
             shown = workload
             if workload:
                 print(f"[{workload}]")
+            print_rounds(workload or args.workload)
         sign = 1 if spec[metric]["better"] == "lower" else -1
         base = [r[name] for r in runs[0]]
         change = [r[name] for r in runs[1]]

@@ -18,6 +18,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .core_arith import (
+    CheckedRecord,
     FactoredInteger,
     Place,
     components,
@@ -104,6 +105,13 @@ def _minimize_unit_part(
     return kp, tuple(new)
 
 
+def _reduced(t: int, m: int) -> tuple[int, int]:
+    """t/m mod 1 in lowest terms, as (numerator, denominator)."""
+    t %= m
+    g = math.gcd(t, m)
+    return t // g, m // g
+
+
 class LocalCharacter(
     namedtuple(
         "LocalCharacter",
@@ -115,8 +123,9 @@ class LocalCharacter(
     exponent_modulus, with minimal conductor exponent.
 
     Equality is scale invariant: the same character written with a larger
-    exponent modulus compares equal.  `__ne__` is spelled out, since the
-    tuple's own would compare the raw fields.
+    exponent modulus compares equal, each value exponent t read as t/m mod
+    1, a reduced (numerator, denominator) pair.  `__ne__` is spelled out,
+    since the tuple's own would compare the raw fields.
     """
 
     __slots__ = ()
@@ -128,8 +137,8 @@ class LocalCharacter(
         return (
             self.place.prime,
             self.conductor_exponent,
-            tuple(Fraction(t, m) % 1 for t in self.unit_exponents),
-            Fraction(self.uniformizer_exponent, m) % 1,
+            tuple(_reduced(t, m) for t in self.unit_exponents),
+            _reduced(self.uniformizer_exponent, m),
         )
 
     def __eq__(self, other):
@@ -192,7 +201,7 @@ def sign_local(m: int, sign_exponent: int) -> LocalCharacter:
 
 
 class DirichletCharacter(
-    namedtuple("DirichletCharacter", "modulus exponent_modulus exponents")
+    CheckedRecord, namedtuple("DirichletCharacter", "modulus exponent_modulus exponents")
 ):
     """Character of (Z/modulus)^* as exponents on the canonical generators."""
 

@@ -11,9 +11,13 @@ once per process), assemble a cycle (the working modulus), and solve a
 linear system over Z/mu for the free slots of the exponent vector,
 returning the character of least conductor mod the cycle (or, when the
 solution lattice exceeds _KERNEL_LIMIT elements, the particular solution,
-flagged minimised=False).  _solve_mod is the one Z/l^rho routine for
-systems; the kernel of the single row each kept auxiliary prime cuts the
-survivors down by has a closed form, _row_kernel.
+flagged minimised=False).  That search, _minimal_candidate, reads each
+component's norm factor p^level from a level table, _level_powers: one
+per (p, generator, mu), indexed by the generator's value, built once by
+the conductor rule of characters and kept in a bounded memo.  _solve_mod
+is the one Z/l^rho routine for systems; the kernel of the single row each
+kept auxiliary prime cuts the survivors down by has a closed form,
+_row_kernel.
 
 oracle_minimal is the independent ground truth: exhaustive enumeration of
 primitive characters by increasing conductor, sharing no search logic
@@ -53,6 +57,7 @@ from .characters import (
     primitivize,
 )
 from .core_arith import (
+    CheckedRecord,
     FactoredInteger,
     Place,
     components,
@@ -75,7 +80,7 @@ _KERNEL_LIMIT = 1 << 20
 _AUX_PRIME_CAP = 10**6
 
 
-class GrunwaldInstance(namedtuple("GrunwaldInstance", "m local_characters")):
+class GrunwaldInstance(CheckedRecord, namedtuple("GrunwaldInstance", "m local_characters")):
     """Exponent m = l^r plus prescribed local characters at distinct places."""
 
     __slots__ = ()
@@ -477,6 +482,31 @@ def _solve_mod(rows, rhs, l: int, rho: int):
     return backsub(1), basis, ranges
 
 
+# Level tables kept by _level_powers, each of mu entries.  The bound keeps
+# a long-running caller from growing the memo without limit; one pass of
+# every operation of the construct workload (seed 5) builds 131 tables,
+# of cli-mix 45, and oracle and scan build none.
+_LEVEL_CACHE_SIZE = 1 << 8
+
+
+@lru_cache(maxsize=_LEVEL_CACHE_SIZE)
+def _level_powers(p: int, j: int, mu: int) -> tuple[int, ...]:
+    """For t in [0, mu): p ** _slice_conductor_exponent of the slice of
+    (Z/p^k)^* that is t on generator j and 0 on the generators before it,
+    which is the component's norm factor whenever its last nonzero value
+    is t on generator j (1 at t = 0).  j fixes the generator's lift: 2 on
+    the 5-generator mod 2^k (p = 2, j = 1), 1 on every other.  The level
+    depends on t only through gcd(t, mu), which has t's order, so the rule
+    runs once per divisor of mu and the entries share its few powers."""
+    head = (0,) * j
+    by_gcd = {
+        g: p ** _slice_conductor_exponent(p, head + (g,), mu)
+        for g in range(1, mu + 1)
+        if mu % g == 0
+    }
+    return tuple(by_gcd[math.gcd(t, mu)] for t in range(mu))
+
+
 def _minimal_candidate(part, basis, ranges, M, mu):
     """(x, True) for the lattice point x = part + sum c_i basis_i,
     0 <= c_i < ranges_i, of least (conductor norm, exponent vector); or
@@ -490,33 +520,43 @@ def _minimal_candidate(part, basis, ranges, M, mu):
     keeping the exponent-vector tiebreak).  Densest basis vectors go first,
     which finishes components early.  The visiting order does not change
     the point set, hence not the result.
+
+    A component's factor is read from the level tables of _level_powers,
+    indexed by coordinates, which stay reduced mod mu: the table of its
+    last generator at that generator's value when it is nonzero, else the
+    table of its first generator at that one's (the same table, read at 0
+    and so 1, on a one-generator component).  A component without
+    generators (mod 2) has factor 1 and is left out.
     """
     comps = components(M)
     if math.prod(ranges, start=1) > _KERNEL_LIMIT:
         return tuple(part), False
-    tables: list[dict] = [{} for _ in comps]
-
-    def factor_of(k, x):
-        c = comps[k]
-        sl = tuple(x[c.offset : c.offset + len(c.orders)])
-        val = tables[k].get(sl)
-        if val is None:
-            val = c.prime ** _slice_conductor_exponent(c.prime, sl, mu)
-            tables[k][sl] = val
-        return val
-
+    readers = [
+        (c.offset + n - 1, _level_powers(c.prime, n - 1, mu), c.offset, _level_powers(c.prime, 0, mu))
+        for c in comps
+        if (n := len(c.orders))
+    ]
     steps = sorted(
         ((r, [(j, v) for j, v in enumerate(vec) if v]) for r, vec in zip(ranges, basis)),
         key=lambda step: -len(step[1]),
     )
-    owner = [k for k, c in enumerate(comps) for _ in c.orders]
-    last = [-1] * len(comps)
+    last = {}  # coordinate -> depth of the last step touching it
     for d, (_, touched) in enumerate(steps):
         for j, _ in touched:
-            last[owner[j]] = d
+            last[j] = d
     depth = len(steps)
-    finished = [[k for k in range(len(comps)) if last[k] == d] for d in range(depth)]
+    # readers of the components whose factor is final after step d; those
+    # no step moves (d = -1) land in finished[depth], read once at the start
+    finished = [[] for _ in range(depth + 1)]
+    for reader in readers:
+        finished[max(last.get(j, -1) for j in range(reader[2], reader[0] + 1))].append(reader)
     best = None
+
+    def norm_of(done, x, norm):
+        for j1, levels1, j0, levels0 in done:
+            t = x[j1]
+            norm *= levels1[t] if t else levels0[x[j0]]
+        return norm
 
     def rec(d, x, bound):
         nonlocal best
@@ -532,14 +572,12 @@ def _minimal_candidate(part, basis, ranges, M, mu):
             if c:
                 for j, v in touched:
                     y[j] = (y[j] + v) % mu
-            norm = bound
-            for k in done:
-                norm *= factor_of(k, y)
+            norm = norm_of(done, y, bound)
             if best is None or norm <= best[0]:
                 rec(d + 1, y, norm)
 
     start = list(part)
-    rec(0, start, math.prod((factor_of(k, start) for k in range(len(comps)) if last[k] < 0), start=1))
+    rec(0, start, norm_of(finished[depth], start, 1))
     return best[1], True
 
 

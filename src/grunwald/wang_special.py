@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 
-from .core_arith import Place, factor, valuation
+from .core_arith import CheckedRecord, Place, factor, valuation
 from .errors import ValidationError
 
 
@@ -25,7 +25,7 @@ def _require_squarefree(d: int) -> None:
         raise ValidationError(f"d not squarefree: {d}")
 
 
-class FieldDescriptor(namedtuple("FieldDescriptor", "d", defaults=(1,))):
+class FieldDescriptor(CheckedRecord, namedtuple("FieldDescriptor", "d", defaults=(1,))):
     """Q (d = 1) or the quadratic field Q(sqrt d) for squarefree d."""
 
     __slots__ = ()

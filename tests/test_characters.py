@@ -26,7 +26,7 @@ from grunwald import (
     sign_local,
     unramified_local,
 )
-from grunwald.characters import _slice_conductor_exponent, primitive_slots
+from grunwald.characters import LocalCharacter, _slice_conductor_exponent, primitive_slots
 from grunwald.core_arith import Place, components, unit_group
 from grunwald.errors import ValidationError
 from reference import iter_characters, verify_product_formula
@@ -236,6 +236,25 @@ def test_local_character_validation():
         a.uniformizer_exponent = 2
 
 
+def test_local_character_equality_is_scale_invariant():
+    # one ramified character written at m, 2m and 4m is one element of a set
+    for m in (2, 3, 4, 8, 9):
+        for t in range(m):
+            scaled = [
+                local_character(Place(7), m * s, 1, (t * (m // math.gcd(6, m)) % m * s,), 5 * s)
+                for s in (1, 2, 4)
+            ]
+            a, b, c = scaled
+            assert a == b == c and hash(a) == hash(b) == hash(c), (m, t)
+            assert not (a != b or b != c)
+            assert len(set(scaled)) == 1
+    signs = [sign_local(2 * s, 1) for s in (1, 2, 4)]
+    assert len(set(signs)) == 1 and signs[0] != sign_local(4, 0)
+    # a value exponent t and t + m are one value
+    assert unramified_local(7, 4, 1) == LocalCharacter(Place(7), 4, 0, (), 5, 0)
+    assert len({unramified_local(7, 8, 2), unramified_local(7, 8, 6)}) == 2
+
+
 def test_local_character_conductor_is_minimized():
     # exponents that factor through a smaller level get trimmed
     psi = local_character(Place(3), 2, conductor_exponent=2, unit_exponents=(3,))
@@ -257,3 +276,9 @@ def test_make_dirichlet_validation():
     assert repr(chi) == "DirichletCharacter(modulus=5, exponent_modulus=4, exponents=(1,))"
     with pytest.raises(AttributeError):
         chi.exponents = (2,)
+    # replacing a field builds through the constructor, so it is checked too
+    with pytest.raises(ValidationError, match="^exponents must be reduced$"):
+        chi._replace(exponents=(7,))
+    with pytest.raises(ValidationError, match="^expected 2 exponents mod 8, got 1$"):
+        chi._replace(modulus=8)
+    assert chi._replace(exponents=(2,)) == make_dirichlet(5, (2,), 4)

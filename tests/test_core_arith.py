@@ -61,6 +61,9 @@ def test_is_prime_refuses_above_psi13():
     # Miller-Rabin proves primality only below psi_13 ~ 3.3e24 (about 2^81.4)
     with pytest.raises(ValidationError, match="cannot certify"):
         is_prime(2**89 - 1)
+    # a refusal is raised, so the cache keeps nothing and refuses again
+    with pytest.raises(ValidationError, match="cannot certify"):
+        is_prime(2**89 - 1)
     with pytest.raises(ValidationError):
         Place(2**89 - 1)
     # a failing base still proves a composite above psi_13, so factor splits it
@@ -131,6 +134,12 @@ def test_factored_integer_rejects_garbage():
     assert repr(n) == "FactoredInteger(value=12, factors=((2, 2), (3, 1)))"
     with pytest.raises(AttributeError):
         n.value = 13
+    # replacing a field builds through the constructor, so it is checked too
+    with pytest.raises(ValidationError, match="^factors do not recompose 13$"):
+        n._replace(value=13)
+    with pytest.raises(ValidationError, match="^bad factorization for 12$"):
+        n._replace(factors=((3, 1), (2, 2)))
+    assert n._replace(value=18, factors=((2, 1), (3, 2))) == FactoredInteger(18, ((2, 1), (3, 2)))
 
 
 def test_valuation():
@@ -217,6 +226,22 @@ def test_dlog_units_matches_unit_enumeration():
 def test_dlog_units_rejects_non_unit():
     with pytest.raises(NonUnitError):
         dlog_units(12, 4)
+    # a refusal is raised, so the cache keeps nothing and refuses again
+    with pytest.raises(NonUnitError):
+        dlog_units(12, 4)
+    with pytest.raises(NonUnitError):
+        dlog_units(12, 16)
+
+
+def test_dlog_units_reads_x_mod_n():
+    # one answer for x, x + N and x - N, whichever is asked first
+    for N in range(1, 120):
+        for x in range(N):
+            if math.gcd(x, N) != 1:
+                continue
+            first = dlog_units(N, x + N) if x % 2 else dlog_units(N, x - N)
+            assert dlog_units(N, x) == first == dlog_units(N, x + N) == dlog_units(N, x - N)
+            assert dlog_units(N, x - 5 * N) == first
 
 
 def test_power_residue_table_matches_dlog_units():
@@ -274,6 +299,10 @@ def test_place_basics():
     assert hash(Place(7)) == hash((7,)) and hash(Place()) == hash((None,))
     with pytest.raises(AttributeError):
         Place(7).prime = 11
+    # replacing a field builds through the constructor, so it is checked too
+    with pytest.raises(ValidationError, match="^not a prime: 4$"):
+        Place(2)._replace(prime=4)
+    assert Place(2)._replace(prime=3) == Place(3) and Place(2)._replace(prime=None).is_real
     ordering = sorted([Place(None), Place(5), Place(2)], key=Place.sort_key)
     assert [v.prime for v in ordering] == [2, 5, None]
 

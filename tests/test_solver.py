@@ -66,6 +66,7 @@ from grunwald.solver import (
     _auxiliary_primes,
     _component_reach,
     _exponent,
+    _level_powers,
     _minimal_candidate,
     _oracle_pass_pruned,
     _prescribed_block,
@@ -665,6 +666,23 @@ def synthetic_lattices(draw):
 @settings(max_examples=150, deadline=None)
 def test_minimal_candidate_matches_exhaustive(lattice):
     assert _minimal_candidate(*lattice) == reference_minimal_candidate(*lattice)
+
+
+def test_level_powers_match_the_conductor_rule():
+    # the norm factor _minimal_candidate reads on every slice of (Z/p^k)^*:
+    # the last generator's table at its value when nonzero, else the first
+    # generator's table at its value
+    for p in (2, 3, 5, 7):
+        for k in range(1, 6):
+            n = len(unit_orders(p, k))
+            if not n:
+                continue
+            for mu in (2, 4, 8, 16, 32, 3, 9, 27, 5, 25, 7):
+                last, first = _level_powers(p, n - 1, mu), _level_powers(p, 0, mu)
+                assert len(last) == len(first) == mu and first[0] == 1
+                for sl in itertools.product(range(mu), repeat=n):
+                    got = last[sl[-1]] if sl[-1] else first[sl[0]]
+                    assert got == p ** _slice_conductor_exponent(p, sl, mu), (p, k, mu, sl)
 
 
 def test_minimal_candidate_deep_lattice():
@@ -1313,6 +1331,13 @@ def test_make_instance_rejects_mixed_moduli():
     assert repr(inst) == f"GrunwaldInstance(m=4, local_characters=({at3!r},))"
     with pytest.raises(AttributeError):
         inst.m = 8
+    # replacing a field builds through the constructor, so it is checked too
+    with pytest.raises(ValidationError, match="^prescribed places must be sorted$"):
+        inst._replace(local_characters=(at5, at3))
+    with pytest.raises(ValidationError, match="normalized to the instance exponent"):
+        inst._replace(m=8)
+    with pytest.raises(ValidationError, match="^not a prime power: 6$"):
+        inst._replace(m=6)
     # but make_instance rescales compatible data
     inst = make_instance(4, [unramified_local(3, 8, 2)])
     assert inst.local_characters[0].exponent_modulus == 4

@@ -33,6 +33,10 @@ def test_field_descriptor():
     assert repr(f7) == "FieldDescriptor(d=7)" and repr(Q) == "FieldDescriptor(d=1)"
     with pytest.raises(AttributeError):
         f7.d = 3
+    # replacing a field builds through the constructor, so it is checked too
+    with pytest.raises(ValidationError, match="^d not squarefree: 12$"):
+        f7._replace(d=12)
+    assert f7._replace(d=1) == Q
     with pytest.raises(ValidationError, match="cannot parse field 'Qsqrt:x'"):
         FieldDescriptor.parse("Qsqrt:x")
     # a parsed d that is not squarefree keeps the squarefree check's message
