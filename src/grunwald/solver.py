@@ -11,10 +11,11 @@ once per process), assemble a cycle (the working modulus), and solve a
 linear system over Z/mu for the free slots of the exponent vector,
 returning the character of least conductor mod the cycle (or, when the
 solution lattice exceeds _KERNEL_LIMIT elements, the particular solution,
-flagged minimised=False).  That search, _minimal_candidate, reads each
-component's norm factor p^level from a level table, _level_powers: one
-per (p, generator, mu), indexed by the generator's value, built once by
-the conductor rule of characters and kept in a bounded memo.  _solve_mod
+flagged minimised=False).  That search, _minimal_candidate, works out
+each component's norm factor p^level from one generator's value t by a
+closed form of the conductor rule of characters, _level_scale: a fixed
+power of p divided by gcd(t, mu) when p divides mu, a fixed power of p
+otherwise, so a node costs the same at every mu.  _solve_mod
 is the one Z/l^rho routine for systems; the kernel of the single row each
 kept auxiliary prime cuts the survivors down by has a closed form,
 _row_kernel.
@@ -47,7 +48,7 @@ from functools import lru_cache
 from .characters import (
     CycleValue,
     DirichletCharacter,
-    _slice_conductor_exponent,
+    _lift,
     character_order,
     conductor,
     evaluate_local,
@@ -482,29 +483,15 @@ def _solve_mod(rows, rhs, l: int, rho: int):
     return backsub(1), basis, ranges
 
 
-# Level tables kept by _level_powers, each of mu entries.  The bound keeps
-# a long-running caller from growing the memo without limit; one pass of
-# every operation of the construct workload (seed 5) builds 131 tables,
-# of cli-mix 45, and oracle and scan build none.
-_LEVEL_CACHE_SIZE = 1 << 8
-
-
-@lru_cache(maxsize=_LEVEL_CACHE_SIZE)
-def _level_powers(p: int, j: int, mu: int) -> tuple[int, ...]:
-    """For t in [0, mu): p ** _slice_conductor_exponent of the slice of
-    (Z/p^k)^* that is t on generator j and 0 on the generators before it,
-    which is the component's norm factor whenever its last nonzero value
-    is t on generator j (1 at t = 0).  j fixes the generator's lift: 2 on
-    the 5-generator mod 2^k (p = 2, j = 1), 1 on every other.  The level
-    depends on t only through gcd(t, mu), which has t's order, so the rule
-    runs once per divisor of mu and the entries share its few powers."""
-    head = (0,) * j
-    by_gcd = {
-        g: p ** _slice_conductor_exponent(p, head + (g,), mu)
-        for g in range(1, mu + 1)
-        if mu % g == 0
-    }
-    return tuple(by_gcd[math.gcd(t, mu)] for t in range(mu))
+def _level_scale(p: int, j: int, mu: int) -> tuple[int, int]:
+    """(scale, q) with scale // gcd(t, q) == p ** _slice_conductor_exponent
+    on every slice of (Z/p^k)^* whose last nonzero value, t in (0, mu), is
+    on generator j.  That level is v_p(mu / gcd(t, mu)) plus the lift of
+    generator j; mu is a power of one prime l, so for p != l only the lift
+    is left (q = 1), and for p = l, where gcd(t, mu) = l^v_l(t), it is
+    v_l(mu) - v_l(t) plus the lift (q = mu)."""
+    q = mu if mu % p == 0 else 1
+    return p ** _lift(p, j) * q, q
 
 
 def _minimal_candidate(part, basis, ranges, M, mu):
@@ -521,41 +508,47 @@ def _minimal_candidate(part, basis, ranges, M, mu):
     which finishes components early.  The visiting order does not change
     the point set, hence not the result.
 
-    A component's factor is read from the level tables of _level_powers,
-    indexed by coordinates, which stay reduced mod mu: the table of its
-    last generator at that generator's value when it is nonzero, else the
-    table of its first generator at that one's (the same table, read at 0
-    and so 1, on a one-generator component).  A component without
-    generators (mod 2) has factor 1 and is left out.
+    A component's factor is worked out from the coordinates, which stay
+    reduced mod mu, by the closed form of _level_scale: from its last
+    generator's value when that is nonzero, else from its first
+    generator's (1 when that is zero too, and always so on a one-generator
+    component).  A component without generators (mod 2) has factor 1 and
+    is left out.
     """
     comps = components(M)
     if math.prod(ranges, start=1) > _KERNEL_LIMIT:
         return tuple(part), False
-    readers = [
-        (c.offset + n - 1, _level_powers(c.prime, n - 1, mu), c.offset, _level_powers(c.prime, 0, mu))
-        for c in comps
-        if (n := len(c.orders))
-    ]
+    readers = []  # (last coordinate, its scale, first coordinate, its scale, q)
+    for c in comps:
+        if n := len(c.orders):
+            top, q = _level_scale(c.prime, n - 1, mu)
+            low, _ = _level_scale(c.prime, 0, mu)
+            readers.append((c.offset + n - 1, top, c.offset, low, q))
     steps = sorted(
         ((r, [(j, v) for j, v in enumerate(vec) if v]) for r, vec in zip(ranges, basis)),
         key=lambda step: -len(step[1]),
     )
-    last = {}  # coordinate -> depth of the last step touching it
+    last_step = {}  # coordinate -> depth of the last step touching it
     for d, (_, touched) in enumerate(steps):
         for j, _ in touched:
-            last[j] = d
+            last_step[j] = d
     depth = len(steps)
-    # readers of the components whose factor is final after step d; those
-    # no step moves (d = -1) land in finished[depth], read once at the start
-    finished = [[] for _ in range(depth + 1)]
+    # finished[d]: readers of the components whose factor is final after
+    # step d; static: those of the components no step moves
+    finished = [[] for _ in range(depth)]
+    static = []
     for reader in readers:
-        finished[max(last.get(j, -1) for j in range(reader[2], reader[0] + 1))].append(reader)
+        last, _, first, _, _ = reader
+        touching = [last_step[j] for j in range(first, last + 1) if j in last_step]
+        (finished[max(touching)] if touching else static).append(reader)
     best = None
 
     def norm_of(done, x, norm):
-        for j1, levels1, j0, levels0 in done:
-            t = x[j1]
-            norm *= levels1[t] if t else levels0[x[j0]]
+        for last, top, first, low, q in done:
+            if t := x[last]:
+                norm *= top // math.gcd(t, q)
+            elif s := x[first]:
+                norm *= low // math.gcd(s, q)
         return norm
 
     def rec(d, x, bound):
@@ -577,7 +570,7 @@ def _minimal_candidate(part, basis, ranges, M, mu):
                 rec(d + 1, y, norm)
 
     start = list(part)
-    rec(0, start, norm_of(finished[depth], start, 1))
+    rec(0, start, norm_of(static, start, 1))
     return best[1], True
 
 

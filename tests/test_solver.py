@@ -66,7 +66,7 @@ from grunwald.solver import (
     _auxiliary_primes,
     _component_reach,
     _exponent,
-    _level_powers,
+    _level_scale,
     _minimal_candidate,
     _oracle_pass_pruned,
     _prescribed_block,
@@ -668,21 +668,49 @@ def test_minimal_candidate_matches_exhaustive(lattice):
     assert _minimal_candidate(*lattice) == reference_minimal_candidate(*lattice)
 
 
-def test_level_powers_match_the_conductor_rule():
-    # the norm factor _minimal_candidate reads on every slice of (Z/p^k)^*:
-    # the last generator's table at its value when nonzero, else the first
-    # generator's table at its value
+def test_level_scale_matches_the_conductor_rule():
+    # the norm factor _minimal_candidate works out on every slice of
+    # (Z/p^k)^*: from the last generator's value when nonzero, else from
+    # the first generator's, 1 when every value is 0
     for p in (2, 3, 5, 7):
         for k in range(1, 6):
             n = len(unit_orders(p, k))
             if not n:
                 continue
             for mu in (2, 4, 8, 16, 32, 3, 9, 27, 5, 25, 7):
-                last, first = _level_powers(p, n - 1, mu), _level_powers(p, 0, mu)
-                assert len(last) == len(first) == mu and first[0] == 1
+                (top, q), (low, q0) = _level_scale(p, n - 1, mu), _level_scale(p, 0, mu)
+                assert q == q0
                 for sl in itertools.product(range(mu), repeat=n):
-                    got = last[sl[-1]] if sl[-1] else first[sl[0]]
+                    if sl[-1]:
+                        got = top // math.gcd(sl[-1], q)
+                    else:
+                        got = low // math.gcd(sl[0], q) if sl[0] else 1
                     assert got == p ** _slice_conductor_exponent(p, sl, mu), (p, k, mu, sl)
+
+
+def test_minimal_candidate_at_a_large_exponent():
+    # a 256-point lattice at mu = 2^40 mod M = 2^5 * 3 * 17: each node's
+    # norm factors cost the same at every mu, so this is as quick as at
+    # mu = 16, the least mu these values fit in
+    mu = 1 << 40
+    M = 2**5 * 3 * 17
+    assert [(c.prime, c.orders) for c in components(M)] == [(2, (2, 8)), (3, (2,)), (17, (16,))]
+    part = [mu // 2, 3 * mu // 8, 0, 5 * mu // 16]
+    basis = [
+        [mu // 2, 0, 0, 0],
+        [0, mu // 8, 0, 0],
+        [0, 0, mu // 2, 0],
+        [0, 0, 0, mu // 16],
+    ]
+    ranges = [2, 8, 2, 16]
+    got = _minimal_candidate(part, basis, ranges, M, mu)
+    assert got == reference_minimal_candidate(part, basis, ranges, M, mu)
+    assert got == ((0, 0, 0, 0), True)
+    # mod 17 only 5..12 times mu/16 stay reachable, each of conductor 17
+    ranges[3] = 8
+    got = _minimal_candidate(part, basis, ranges, M, mu)
+    assert got == reference_minimal_candidate(part, basis, ranges, M, mu)
+    assert got == ((0, 0, 0, 5 * mu // 16), True)
 
 
 def test_minimal_candidate_deep_lattice():
