@@ -24,12 +24,13 @@ from .errors import (
 # Largest cofactor that factor leaves, after trial division, to Pollard rho.
 FACTOR_LIMIT = 1 << 96
 
-# Entries kept by each of the is_prime, factor, components and dlog_units
-# caches.  The bound keeps a long-running caller from growing them without
-# limit; no benchmark workload comes near it.  After one pass of every
-# operation of a workload (seed 5) they hold, in that order: construct 39,
-# 224, 186 and 445 entries; oracle 16, 54, 29 and 63; scan 168, 999, 998
-# and 1,464; cli-mix 37, 304, 254 and 306.
+# Entries kept by each of the is_prime, factor, components, dlog_units and
+# _primitive_root_mod_pk caches.  The bound keeps a long-running caller
+# from growing them without limit; no benchmark workload comes near it.
+# After one pass of every operation of a workload (seed 5) they hold, in
+# that order: construct 39, 224, 186, 445 and 49 entries; oracle 16, 54,
+# 29, 63 and 29; scan 168, 999, 998, 1,464 and 184; cli-mix 37, 304, 254,
+# 306 and 36.
 _CACHE_SIZE = 1 << 14
 
 # Miller-Rabin witnesses.  The first thirteen primes (so these eighteen) are
@@ -251,7 +252,11 @@ class UnitComponent(
     __slots__ = ()
 
 
+@lru_cache(maxsize=_CACHE_SIZE)
 def _primitive_root_mod_pk(p: int, k: int) -> int:
+    """The least primitive root mod p^k, p odd.  Cached on (p, k): each new
+    modulus's components ask again for the primitive roots its primes
+    share with earlier ones."""
     pk = p**k
     phi = pk // p * (p - 1)
     qs = [q for q, _ in factor(phi).factors]

@@ -15,7 +15,10 @@ flagged minimised=False).  That search, _minimal_candidate, works out
 each component's norm factor p^level from one generator's value t by a
 closed form of the conductor rule of characters, _level_scale: a fixed
 power of p divided by gcd(t, mu) when p divides mu, a fixed power of p
-otherwise, so a node costs the same at every mu.  _solve_mod
+otherwise, so a node costs the same at every mu.  It prunes by the
+finished factors times a lower bound on each component still open: the
+factor its last coordinate must take when the coset the remaining steps
+leave it in excludes 0.  _solve_mod
 is the one Z/l^rho routine for systems; the kernel of the single row each
 kept auxiliary prime cuts the survivors down by has a closed form,
 _row_kernel.
@@ -501,12 +504,22 @@ def _minimal_candidate(part, basis, ranges, M, mu):
 
     Depth-first branch and bound.  The norm is the product over the CRT
     components of M of p^(e_p) >= 1, and a component's factor is final once
-    the last basis vector touching its coordinates is fixed; so the product
-    of the finished factors bounds every completion from below, and a
-    subtree is skipped only when it exceeds the best norm (ties are walked,
-    keeping the exponent-vector tiebreak).  Densest basis vectors go first,
-    which finishes components early.  The visiting order does not change
-    the point set, hence not the result.
+    the last basis vector touching its coordinates is fixed.  A component
+    not final yet is bounded from below by what the steps left can still
+    reach on its last coordinate.  After step d that coordinate is y, and
+    the later steps add multiples of their entries v there, so every value
+    t it can end at lies in the coset y + gZ/mu, g = gcd(mu, those v) (g =
+    mu when no later step touches it).  g divides mu = l^r, so g is a
+    power of l; when g does not divide y, v_l(y) < v_l(g) <= v_l(g k) for
+    every k, hence t != 0 and v_l(t) = v_l(y): gcd(t, mu) = gcd(y, mu), and
+    the factor, read from t by _level_scale, is top // gcd(y, q) at every
+    completion.  Otherwise it is at least 1.  So a child is skipped only
+    when the finished factors times these bounds exceed the best norm
+    (ties are walked, keeping the exponent-vector tiebreak).  Densest
+    basis vectors go first, which finishes components early; one reverse
+    pass over the sorted steps gives, for every depth, the components
+    that become final there and the g of those still open.  The visiting
+    order does not change the point set, hence not the result.
 
     A component's factor is worked out from the coordinates, which stay
     reduced mod mu, by the closed form of _level_scale: from its last
@@ -515,33 +528,48 @@ def _minimal_candidate(part, basis, ranges, M, mu):
     component).  A component without generators (mod 2) has factor 1 and
     is left out.
     """
-    comps = components(M)
     if math.prod(ranges, start=1) > _KERNEL_LIMIT:
         return tuple(part), False
+    if not basis:
+        return tuple(part), True
     readers = []  # (last coordinate, its scale, first coordinate, its scale, q)
-    for c in comps:
+    owner = {}  # coordinate -> index of its component's reader
+    for c in components(M):
         if n := len(c.orders):
             top, q = _level_scale(c.prime, n - 1, mu)
             low, _ = _level_scale(c.prime, 0, mu)
+            for j in range(c.offset, c.offset + n):
+                owner[j] = len(readers)
             readers.append((c.offset + n - 1, top, c.offset, low, q))
     steps = sorted(
         ((r, [(j, v) for j, v in enumerate(vec) if v]) for r, vec in zip(ranges, basis)),
         key=lambda step: -len(step[1]),
     )
-    last_step = {}  # coordinate -> depth of the last step touching it
-    for d, (_, touched) in enumerate(steps):
-        for j, _ in touched:
-            last_step[j] = d
     depth = len(steps)
     # finished[d]: readers of the components whose factor is final after
-    # step d; static: those of the components no step moves
+    # step d; moving[d] and still[d]: (last, g, top, q) for each component
+    # still open after it with g > 1, whose last coordinate step d does and
+    # does not touch; static: readers of the components no step moves
     finished = [[] for _ in range(depth)]
-    static = []
-    for reader in readers:
-        last, _, first, _, _ = reader
-        touching = [last_step[j] for j in range(first, last + 1) if j in last_step]
-        (finished[max(touching)] if touching else static).append(reader)
-    best = None
+    moving = [[] for _ in range(depth)]
+    still = [[] for _ in range(depth)]
+    gaps = {}  # reader index -> g over the steps after the current one
+    for d in range(depth - 1, -1, -1):
+        touched = steps[d][1]
+        moved = {j for j, _ in touched}
+        for k, g in gaps.items():
+            if g > 1:
+                last, top, _, _, q = readers[k]
+                (moving if last in moved else still)[d].append((last, g, top, q))
+        for j, v in touched:
+            k = owner[j]
+            if k not in gaps:
+                gaps[k] = mu
+                finished[d].append(readers[k])
+            if j == readers[k][0]:
+                gaps[k] = math.gcd(gaps[k], v)
+    static = [reader for k, reader in enumerate(readers) if k not in gaps]
+    best_norm, best = math.inf, None
 
     def norm_of(done, x, norm):
         for last, top, first, low, q in done:
@@ -552,26 +580,35 @@ def _minimal_candidate(part, basis, ranges, M, mu):
         return norm
 
     def rec(d, x, bound):
-        nonlocal best
+        nonlocal best_norm, best
         if d == depth:
-            score = (bound, tuple(x))
-            if best is None or score < best:
-                best = score
+            if bound < best_norm or (bound == best_norm and tuple(x) < best):
+                best_norm, best = bound, tuple(x)
             return
         r, touched = steps[d]
-        done = finished[d]
+        done, move = finished[d], moving[d]
+        floor = bound  # the factors and bounds step d leaves as they are
+        for last, g, top, q in still[d]:
+            if (t := x[last]) % g:
+                floor *= top // math.gcd(t, q)
         y = list(x)
         for c in range(r):
             if c:
                 for j, v in touched:
                     y[j] = (y[j] + v) % mu
-            norm = norm_of(done, y, bound)
-            if best is None or norm <= best[0]:
-                rec(d + 1, y, norm)
+            gain = norm_of(done, y, 1)
+            low = floor * gain
+            if low > best_norm:
+                continue
+            for last, g, top, q in move:
+                if (t := y[last]) % g:
+                    low *= top // math.gcd(t, q)
+            if low <= best_norm:
+                rec(d + 1, y, bound * gain)
 
     start = list(part)
     rec(0, start, norm_of(static, start, 1))
-    return best[1], True
+    return best, True
 
 
 def solve_character(

@@ -114,6 +114,23 @@ def crt_generators(N: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def least_primitive_root(p: int, k: int) -> int:
+    """The least g > 1 of order phi(p^k) mod p^k, p odd, by a brute-force
+    order check: g^d != 1 for every divisor d < phi of phi, the divisors
+    found by trial division up to sqrt(phi)."""
+    n = p**k
+    phi = n // p * (p - 1)
+    divisors = set()
+    for d in range(1, math.isqrt(phi) + 1):
+        if phi % d == 0:
+            divisors.update((d, phi // d))
+    divisors.discard(phi)
+    g = 2
+    while g % p == 0 or any(pow(g, d, n) == 1 for d in divisors):
+        g += 1
+    return g
+
+
 def unit_dlog_table(f: int) -> dict[int, tuple[int, ...]]:
     """residue -> exponent vector on the canonical generators, by direct
     enumeration of the unit group (no baby-step giant-step)."""

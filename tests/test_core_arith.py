@@ -17,6 +17,7 @@ from grunwald.core_arith import (
     FACTOR_LIMIT,
     FactoredInteger,
     Place,
+    _primitive_root_mod_pk,
     components,
     dlog_units,
     factor,
@@ -31,7 +32,7 @@ from grunwald.core_arith import (
 )
 from grunwald.characters import evaluate_local, local_character, sign_local, unramified_local
 from grunwald.errors import NonUnitError, ValidationError
-from reference import crt_generators, is_square_rational, unit_dlog_table
+from reference import crt_generators, is_square_rational, least_primitive_root, unit_dlog_table
 
 
 def trial_division_prime(n: int) -> bool:
@@ -180,6 +181,16 @@ def test_unit_group_generates(N):
             assert pow(g, o // q, N) != 1
         generated = {x * pow(g, e, N) % N for x in generated for e in range(o)}
     assert generated == units
+
+
+def test_primitive_root_is_the_least():
+    # the least primitive root mod p^k, worked out and then read from the
+    # cache
+    odd = [p for p in range(3, 300) if is_prime(p)]
+    for _ in range(2):
+        for p in odd:
+            for k in (1, 2, 3):
+                assert _primitive_root_mod_pk(p, k) == least_primitive_root(p, k), (p, k)
 
 
 @pytest.mark.parametrize("N", [10**6, 999983, 2**19, 3**12, 750000])

@@ -77,6 +77,7 @@ from grunwald.solver import (
     _splice,
 )
 
+from bounds_matrix import prescriptions
 from reference import iter_characters, unit_row_system
 
 INF = Place(None)
@@ -666,6 +667,143 @@ def synthetic_lattices(draw):
 @settings(max_examples=150, deadline=None)
 def test_minimal_candidate_matches_exhaustive(lattice):
     assert _minimal_candidate(*lattice) == reference_minimal_candidate(*lattice)
+
+
+@st.composite
+def late_lattices(draw):
+    """(part, basis, ranges, M, mu) on which the open components' bound
+    fires: mu in {8, 16, 32, 9, 27, 25}, M a power of l (where gcd(t, mu)
+    sets the level) times up to three other small primes, and at most 2^14
+    points.  Some components are late: early basis vectors are dense (so
+    the search takes them first) and touch a late component's last
+    coordinate with 0 or an entry of high l-valuation, and the sparse late
+    vectors, taken last, move only that coordinate, by such entries too.
+    So after the early steps that coordinate stays in a coset of a
+    nontrivial subgroup of Z/mu, which may or may not hold 0."""
+    mu = draw(st.sampled_from([8, 16, 32, 9, 27, 25]))
+    l, r = prime_power(mu)
+    M = l ** draw(st.integers(min_value=3 if l == 2 else 2, max_value=5 if l == 2 else 3))
+    others = [p for p in (2, 3, 5, 7, 11, 13, 17) if p != l]
+    for p in draw(st.sets(st.sampled_from(others), min_size=1, max_size=3)):
+        M *= 8 if p == 2 else p
+    comps = components(M)
+    n = sum(len(c.orders) for c in comps)
+    late = draw(st.sets(st.sampled_from(range(len(comps))), min_size=1))
+    lasts = sorted(comps[k].offset + len(comps[k].orders) - 1 for k in late)
+
+    def high():
+        s = draw(st.integers(min_value=1, max_value=max(1, r - 1)))
+        return l**s * draw(st.integers(min_value=0, max_value=l ** (r - s) - 1))
+
+    def entry(j, lo):
+        if j in lasts:
+            return high()
+        return draw(st.integers(min_value=lo, max_value=mu - 1))
+
+    part = [entry(j, 0) if draw(st.booleans()) else draw(st.integers(0, mu - 1)) for j in range(n)]
+    basis, ranges, points = [], [], 1
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        v = draw(st.integers(min_value=1, max_value=r))
+        if points * l**v > 1 << 14:
+            break
+        points *= l**v
+        basis.append([entry(j, 1) for j in range(n)])
+        ranges.append(l**v)
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        vec = [0] * n
+        j = draw(st.sampled_from(lasts))
+        vec[j] = high() or l ** (r - 1)
+        size = mu // math.gcd(vec[j], mu)
+        if points * size > 1 << 14:
+            break
+        points *= size
+        basis.append(vec)
+        ranges.append(size)
+    return part, basis, ranges, M, mu
+
+
+@given(late_lattices())
+@settings(max_examples=60, deadline=None)
+def test_minimal_candidate_bound_matches_exhaustive(lattice):
+    # the lower bound on the components still open skips subtrees, never
+    # the least point or a tie with it
+    assert _minimal_candidate(*lattice) == reference_minimal_candidate(*lattice)
+
+
+# The construct workload's instances for seed 1 (perfbench/workloads.py)
+# whose lattices have at most 2^16 points.  SEED1_TWISTS holds the unit u
+# each acceptance-matrix cell is twisted by, chi -> chi^u, one digit per
+# cell in the matrix's order (S by size, then lexicographically); then
+# come the Wang instance and the deep and wide shapes, as (m, (place, k,
+# unit exponents, uniformizer exponent or sign)).
+SEED1_TWISTS = (
+    "11111111111111111111111111111111",  # m = 2
+    "12211111212112121122121112122112",  # m = 3
+    "11111113111113111111113311311113",  # m = 4
+    "11111111111113111113311111111111",  # m = 8
+    "14211128245121211858155211527747",  # m = 9
+)
+SEED1_SHAPES = (
+    (8, (("2", 5, (0, 3), 3),)),
+    (8, (("3", 0, (), 5), ("5", 1, (4,), 2), ("7", 0, (), 6), ("11", 0, (), 0), ("13", 1, (4,), 6), ("inf", 0, (), 0))),
+    (32, (("7", 0, (), 6), ("13", 0, (), 13), ("inf", 0, (), 0))),
+    (9, (("2", 0, (), 1), ("3", 2, (3,), 7), ("5", 0, (), 5), ("7", 1, (6,), 7), ("11", 0, (), 8), ("13", 1, (3,), 5))),
+    (3, (("2", 0, (), 1), ("3", 2, (1,), 2), ("5", 0, (), 0), ("7", 1, (2,), 0), ("11", 0, (), 0), ("13", 1, (1,), 2))),
+    (4, (("2", 2, (2,), 0), ("3", 0, (), 0), ("5", 1, (2,), 0), ("7", 0, (), 2), ("11", 0, (), 0), ("13", 1, (2,), 2))),
+    (25, (("5", 2, (20,), 8), ("7", 0, (), 16), ("11", 1, (10,), 7), ("31", 1, (20,), 9))),
+    (7, (("2", 0, (), 6), ("3", 0, (), 6), ("5", 0, (), 3), ("7", 2, (6,), 5), ("29", 1, (2,), 6), ("43", 1, (4,), 1))),
+    (5, (("2", 0, (), 1), ("3", 0, (), 3), ("5", 2, (4,), 1), ("7", 0, (), 0), ("11", 1, (3,), 3), ("inf", 0, (), 0))),
+    (16, (("3", 0, (), 13), ("11", 0, (), 8), ("19", 1, (8,), 0))),
+    (27, (("5", 0, (), 17), ("7", 1, (18,), 26), ("19", 1, (6,), 17))),
+    (5, (("2", 0, (), 0), ("3", 0, (), 4), ("7", 0, (), 3), ("11", 1, (1,), 1), ("13", 0, (), 2), ("31", 1, (1,), 4))),
+)
+
+
+def twisted(psi, u):
+    """The local character psi^u: the real place's sign is kept, as the
+    workload's twist keeps it."""
+    if psi.place.is_real:
+        return psi
+    m = psi.exponent_modulus
+    units = tuple(t * u % m for t in psi.unit_exponents)
+    return local_character(psi.place, m, psi.conductor_exponent, units, psi.uniformizer_exponent * u % m)
+
+
+def seed1_instances():
+    cells = [
+        (m, S)
+        for m in (2, 3, 4, 8, 9)
+        for k in range(6)
+        for S in itertools.combinations((2, 3, 5, 7, "inf"), k)
+    ]
+    twists = [int(u) for row in SEED1_TWISTS for u in row]
+    assert len(cells) == len(twists)
+    for (m, S), u in zip(cells, twists):
+        yield make_instance(m, [twisted(psi, u) for psi in prescriptions(m, S)])
+    for m, spec in SEED1_SHAPES:
+        yield make_instance(
+            m,
+            [
+                sign_local(m, c) if p == "inf" else local_character(Place(int(p)), m, k, units, c)
+                for p, k, units, c in spec
+            ],
+        )
+
+
+def test_minimal_candidate_on_seed1_construct_lattices():
+    # every seed-1 construct lattice of at most 2^16 points, as _solve
+    # builds it, against the exhaustive walk
+    count = 0
+    for instance in seed1_instances():
+        _, inst = _exponent(instance, None)
+        mu = inst.m
+        M = build_cycle(inst, auxiliary_primes(mu, set(inst.places))).finite_part.value
+        part, basis, ranges = free_slot_lattice(inst, M)
+        assert math.prod(ranges) <= 1 << 16
+        got = _minimal_candidate(part, basis, ranges, M, mu)
+        assert got == reference_minimal_candidate(part, basis, ranges, M, mu)
+        count += 1
+    assert count == 172
 
 
 def test_level_scale_matches_the_conductor_rule():
