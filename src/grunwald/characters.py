@@ -14,6 +14,7 @@ in local_component below, and the fixed slots of solver._prescribed_block
 from __future__ import annotations
 
 import math
+import operator
 from collections import namedtuple
 from fractions import Fraction
 
@@ -47,10 +48,31 @@ class CycleValue(namedtuple("CycleValue", "finite_part real_bit")):
         return text + "*infinity" if self.real_bit else text
 
 
-def _lift(p: int, j: int) -> int:
-    """Generator j of (Z/p^k)^* reaches level v_p(order of its value) plus
-    this: 2 on the 5-generator mod 2^k, 1 on every other."""
-    return 2 if p == 2 and j == 1 else 1
+def _level_scale(p: int, j: int, mu: int) -> tuple[int, int]:
+    """(scale, q), q the p-part of mu, with scale // gcd(t, q) == p^level
+    for a value t in (0, mu) on generator j of (Z/p^k)^*.  That level is
+    v_p(mu / gcd(t, mu)) = v_p(q / gcd(t, q)), the p-part of the value's
+    order, plus the lift of generator j: 2 on the 5-generator mod 2^k, 1
+    on every other."""
+    q = p ** valuation(mu, p)
+    return p ** (2 if p == 2 and j == 1 else 1) * q, q
+
+
+# conductor_levels' answers when p does not divide mu, built once: the
+# oracle's sieve asks for them on every leftover prime
+_NO_LEVEL, _FIRST_LEVEL = range(0), range(1, 2)
+
+
+def conductor_levels(p: int, mu: int) -> range:
+    """The k >= 1 at which some character of (Z/p^k)^* of exponent dividing
+    mu has conductor p^k: from 1 for odd p with gcd(mu, p - 1) > 1, else
+    from 2, up to the last generator's level at a value of full p-part
+    order.  When p does not divide mu every value has order prime to p,
+    and a character of (Z/p^k)^* of such order has level at most 1."""
+    first = p > 2 and math.gcd(mu, p - 1) > 1
+    if mu % p:
+        return _FIRST_LEVEL if first else _NO_LEVEL
+    return range(1 if first else 2, valuation(_level_scale(p, 1, mu)[0], p) + 1)
 
 
 def _slice_conductor_exponent(p: int, exps: tuple[int, ...], m: int) -> int:
@@ -59,9 +81,9 @@ def _slice_conductor_exponent(p: int, exps: tuple[int, ...], m: int) -> int:
     nonzero value, which is the last one's, since mod 2^k the sign
     generator stops at level 2 and the 5-generator starts there."""
     for j in range(len(exps) - 1, -1, -1):
-        t = exps[j] % m
-        if t:
-            return valuation(m // math.gcd(m, t), p) + _lift(p, j)
+        if t := exps[j] % m:
+            scale, q = _level_scale(p, j, m)
+            return valuation(scale // math.gcd(t, q), p)
     return 0
 
 
@@ -72,10 +94,10 @@ def primitive_slots(p: int, k: int, mu: int) -> list[list[int]]:
 
     Generator j of order o takes c * (mu / g), g = gcd(mu, o), 0 <= c < g,
     a value of order g / gcd(g, c).  Only the last generator reaches level
-    k (mod 2^k the sign generator stops at 2), so the others are free and
-    the last keeps the c != 0 whose order has p-part p^(k - lift).  Since
-    v_p(g) <= k - lift, those are the c prime to p when p^(k - lift) | g.
-    Mod 2 nothing is primitive: one empty slot.
+    k (mod 2^k the sign generator stops at 2), so the others are free, and
+    when k is one of conductor_levels(p, mu) the last keeps the c != 0
+    whose order has the full p-part of g: the c prime to p.  Mod 2 nothing
+    is primitive: one empty slot.
     """
     orders = unit_orders(p, k)
     if not orders:
@@ -83,7 +105,7 @@ def primitive_slots(p: int, k: int, mu: int) -> list[list[int]]:
     *free, last = orders
     slots = [[c * (mu // g) for c in range(g)] for g in (math.gcd(mu, o) for o in free)]
     g = math.gcd(mu, last)
-    keep = range(1, g) if g % p ** (k - _lift(p, len(free))) == 0 else ()
+    keep = range(1, g) if k in conductor_levels(p, mu) else ()
     slots.append([c * (mu // g) for c in keep if c % p])
     return slots
 
@@ -279,30 +301,24 @@ def primitivize(chi: DirichletCharacter) -> DirichletCharacter:
 
 
 def local_component(chi: DirichletCharacter, v: Place) -> LocalCharacter:
-    """The local component of the idele-class character attached to chi."""
+    """The local component of the idele-class character attached to chi.
+
+    One walk over chi's CRT components: p's own gives the unit part, and
+    the others' values at p sum to the uniformizer's, which for p not
+    dividing the modulus is evaluate(chi, p)."""
     m = chi.exponent_modulus
     if v.is_real:
         bit = conductor(chi).real_bit
         return LocalCharacter(v, m, bit, (), 0, bit)
     p = v.prime
-    comps = components(chi.modulus)
-    mine = None
-    for c in comps:
+    k, unit_exps, unif = 0, (), 0
+    for c in components(chi.modulus):
+        sl = chi.exponents[c.offset : c.offset + len(c.orders)]
         if c.prime == p:
-            mine = c
-            break
-    if mine is None:
-        return local_character(v, m, 0, (), evaluate(chi, p))
-    sl = chi.exponents[mine.offset : mine.offset + len(mine.orders)]
-    unit_exps = tuple((-t) % m for t in sl)
-    unif = 0
-    for c in comps:
-        if c.prime == p:
-            continue
-        vec = dlog_units(c.prime_power, p)
-        csl = chi.exponents[c.offset : c.offset + len(c.orders)]
-        unif += sum(t * e for t, e in zip(csl, vec))
-    return local_character(v, m, mine.exponent, unit_exps, unif % m)
+            k, unit_exps = c.exponent, tuple((-t) % m for t in sl)
+        else:
+            unif += sum(map(operator.mul, sl, dlog_units(c.prime_power, p)))
+    return local_character(v, m, k, unit_exps, unif % m)
 
 
 def evaluate_local(chi_v: LocalCharacter, x: Fraction) -> int:

@@ -28,9 +28,9 @@ FACTOR_LIMIT = 1 << 96
 # _primitive_root_mod_pk caches.  The bound keeps a long-running caller
 # from growing them without limit; no benchmark workload comes near it.
 # After one pass of every operation of a workload (seed 5) they hold, in
-# that order: construct 39, 224, 186, 445 and 49 entries; oracle 16, 54,
-# 29, 63 and 29; scan 168, 999, 998, 1,464 and 184; cli-mix 37, 304, 254,
-# 306 and 36.
+# that order: construct 39, 224, 186, 401 and 49 entries; oracle 16, 54,
+# 29, 63 and 29; scan 168, 999, 998, 1,464 and 184; cli-mix 37, 304, 273,
+# 516 and 36 (powres reads discrete logs mod each modulus it tests).
 _CACHE_SIZE = 1 << 14
 
 # Miller-Rabin witnesses.  The first thirteen primes (so these eighteen) are
@@ -350,15 +350,11 @@ def _dlog_units(N: int, x: int) -> tuple[int, ...]:
     for c in components(N):
         xi = x % c.prime_power
         if c.prime == 2:
-            if c.exponent == 1:
-                continue
-            if c.exponent == 2:
-                out.append(0 if xi == 1 else 1)
-                continue
-            a = 0 if xi % 4 == 1 else 1
-            y = (-xi) % c.prime_power if a else xi
-            out.append(a)
-            out.append(_bsgs(5, y, c.prime_power, c.orders[1]))
+            a = xi % 4 // 2  # the sign: 1 when x = -1 mod 4
+            if c.exponent >= 2:
+                out.append(a)
+            if c.exponent >= 3:
+                out.append(_bsgs(5, -xi if a else xi, c.prime_power, c.orders[1]))
         else:
             out.append(_bsgs(c.local_generators[0], xi, c.prime_power, c.orders[0]))
     return tuple(out)

@@ -12,10 +12,10 @@ linear system over Z/mu for the free slots of the exponent vector,
 returning the character of least conductor mod the cycle (or, when the
 solution lattice exceeds _KERNEL_LIMIT elements, the particular solution,
 flagged minimised=False).  That search, _minimal_candidate, works out
-each component's norm factor p^level from one generator's value t by a
-closed form of the conductor rule of characters, _level_scale: a fixed
-power of p divided by gcd(t, mu) when p divides mu, a fixed power of p
-otherwise, so a node costs the same at every mu.  It prunes by the
+each component's norm factor p^level from one generator's value t by the
+closed form of the conductor rule that characters keeps, _level_scale: a
+fixed power of p divided by gcd(t, q), q the p-part of mu, so a node
+costs the same at every mu.  It prunes by the
 finished factors times a lower bound on each component still open: the
 factor its last coordinate must take when the coset the remaining steps
 leave it in excludes 0.  _solve_mod
@@ -30,8 +30,9 @@ exponent (_exponent); the fixed slots and per-place targets, which both
 take from _prescribed_block, on F0 for the oracle and on the cycle for
 construct; and _verify_solution, which every answer of either passes.
 The oracle visits only the conductors F0 * g that the prescribed local
-conductors admit (see _admissible_conductors), and tests each from the
-factorization the sieve yields.  First an order test (_reaches_orders):
+conductors and characters.conductor_levels admit (see
+_admissible_conductors), and tests each from the factorization the
+sieve yields.  First an order test (_reaches_orders):
 every target, of additive order n in Z/mu, must lie in the chain of
 subgroups g's components can reach, which on a prime q of g to the first
 power is one pow of the power-residue symbol.  Only the f that pass it
@@ -51,9 +52,10 @@ from functools import lru_cache
 from .characters import (
     CycleValue,
     DirichletCharacter,
-    _lift,
+    _level_scale,
     character_order,
     conductor,
+    conductor_levels,
     evaluate_local,
     local_character,
     local_component,
@@ -486,17 +488,6 @@ def _solve_mod(rows, rhs, l: int, rho: int):
     return backsub(1), basis, ranges
 
 
-def _level_scale(p: int, j: int, mu: int) -> tuple[int, int]:
-    """(scale, q) with scale // gcd(t, q) == p ** _slice_conductor_exponent
-    on every slice of (Z/p^k)^* whose last nonzero value, t in (0, mu), is
-    on generator j.  That level is v_p(mu / gcd(t, mu)) plus the lift of
-    generator j; mu is a power of one prime l, so for p != l only the lift
-    is left (q = 1), and for p = l, where gcd(t, mu) = l^v_l(t), it is
-    v_l(mu) - v_l(t) plus the lift (q = mu)."""
-    q = mu if mu % p == 0 else 1
-    return p ** _lift(p, j) * q, q
-
-
 def _minimal_candidate(part, basis, ranges, M, mu):
     """(x, True) for the lattice point x = part + sum c_i basis_i,
     0 <= c_i < ranges_i, of least (conductor norm, exponent vector); or
@@ -676,48 +667,38 @@ def _admissible_conductors(instance: GrunwaldInstance, cap: int):
     character of the instance's exponent mu with the prescribed local data
     could have, in increasing order.
 
-    f = F0 * g: F0 fixes the prescribed conductor exponents, g is coprime
-    to S and built from q^1 (q odd, gcd(mu, q-1) > 1), l^a (l odd,
-    2 <= a <= r+1) and 2^a (mu even, 2 <= a <= r+2), where mu = l^r.
-    g is factored by a segmented sieve whose blocks start _SIEVE_FIRST_BLOCK
-    wide and double up to _SIEVE_BLOCK, so a search that stops early
-    sieves little past where it stops.
+    f = F0 * g: F0 fixes the prescribed conductor exponents, and g is
+    coprime to S with a in conductor_levels(q, mu) for every q^a exactly
+    dividing it.  g is factored by a segmented sieve whose blocks start
+    _SIEVE_FIRST_BLOCK wide and double up to _SIEVE_BLOCK, so a search
+    that stops early sieves little past where it stops; it reads each
+    sieve prime's levels once, and the leftover prime's on each g.
     """
     mu = instance.m
-    l_mu, r_mu = prime_power(mu)
     s_primes = set(instance.finite_primes)
     head = _prescribed_head(instance)
     f0 = math.prod(p**k for p, k in head)
-
-    def exponent_range(q):
-        if q in s_primes:
-            return None
-        if q == 2:
-            return (2, r_mu + 2) if mu % 2 == 0 else None
-        if q == l_mu:
-            return (2, r_mu + 1)
-        return (1, 1) if math.gcd(mu, q - 1) > 1 else None
-
     limit = cap // f0
     stream = primes_stream()
-    sieve_primes: list[tuple[int, tuple[int, int] | None]] = []
+    sieve_primes: list[tuple[int, range]] = []
     pending = next(stream)
     lo, width = 1, _SIEVE_FIRST_BLOCK
     while lo <= limit:
         hi = min(lo + width, limit + 1)
         while pending * pending < hi:
-            sieve_primes.append((pending, exponent_range(pending)))
+            levels = range(0) if pending in s_primes else conductor_levels(pending, mu)
+            sieve_primes.append((pending, levels))
             pending = next(stream)
         n = hi - lo
         rest = list(range(lo, hi))
         found: list[list[tuple[int, int]]] = [[] for _ in range(n)]
         alive = bytearray(b"\x01") * n
-        for q, allowed in sieve_primes:
+        for q, levels in sieve_primes:
             start = -lo % q
-            if allowed is None:
+            if not levels:
                 alive[start::q] = bytes(len(range(start, n, q)))
                 continue
-            low, high = allowed
+            low, high = levels[0], levels[-1]
             for i in range(start, n, q):
                 if not alive[i]:
                     continue
@@ -736,8 +717,7 @@ def _admissible_conductors(instance: GrunwaldInstance, cap: int):
             # what is left is 1 or a prime above every sieve prime
             v = rest[i]
             if v > 1:
-                allowed = exponent_range(v)
-                if allowed is None or allowed[0] > 1:
+                if v in s_primes or 1 not in conductor_levels(v, mu):
                     continue
                 found[i].append((v, 1))
             yield f0 * (lo + i), tuple(sorted(head + tuple(found[i])))

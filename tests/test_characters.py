@@ -26,8 +26,13 @@ from grunwald import (
     sign_local,
     unramified_local,
 )
-from grunwald.characters import LocalCharacter, _slice_conductor_exponent, primitive_slots
-from grunwald.core_arith import Place, components, unit_group
+from grunwald.characters import (
+    LocalCharacter,
+    _slice_conductor_exponent,
+    conductor_levels,
+    primitive_slots,
+)
+from grunwald.core_arith import Place, components, primes_stream, unit_group
 from grunwald.errors import ValidationError
 from reference import iter_characters, verify_product_formula
 
@@ -37,14 +42,17 @@ def divisors(n):
 
 
 def brute_conductor(chi) -> int:
-    """Smallest f | N with chi(a) = chi(b) whenever a = b mod f."""
+    """Smallest f | N with chi(a) = chi(b) whenever a = b mod f; f = N
+    always qualifies, so the proper divisors are tried, each until a
+    residue class takes two values."""
     N = chi.modulus
     units = [a for a in range(1, N + 1) if math.gcd(a, N) == 1]
-    for f in divisors(N):
-        classes: dict[int, set] = {}
+    for f in divisors(N)[:-1]:
+        seen: dict[int, int] = {}
         for a in units:
-            classes.setdefault(a % f, set()).add(evaluate(chi, a))
-        if all(len(vals) == 1 for vals in classes.values()):
+            if seen.setdefault(a % f, v := evaluate(chi, a)) != v:
+                break
+        else:
             return f
     return N
 
@@ -122,6 +130,25 @@ def test_primitive_slots_edge_cases():
     # 2^k, k >= 3: free sign slot, odd exponent on the 5-generator
     assert primitive_slots(2, 4, 4) == [[0, 2], [1, 3]]
     assert primitive_slots(2, 4, 2) == [[0, 1], []]
+
+
+def test_conductor_levels_match_brute_conductor():
+    # the k at which some character mod p^k of exponent dividing mu has
+    # conductor p^k by the definition, at composite mu too; the last
+    # characters in lex order take the largest values, so a primitive
+    # one, when there is one, comes early in the reversed walk
+    for p in itertools.takewhile(lambda p: p <= 2000, primes_stream()):
+        k = 1
+        while p**k <= 2000:
+            for mu in (2, 3, 4, 5, 6, 8, 9, 12, 21, 24, 60, 120):
+                chars = list(iter_characters(p**k, mu))
+                want = any(brute_conductor(chi) == p**k for chi in reversed(chars))
+                assert (k in conductor_levels(p, mu)) == want, (p, k, mu)
+                assert all(primitive_slots(p, k, mu)) == want, (p, k, mu)
+            k += 1
+    assert conductor_levels(2, 120) == range(2, 6)
+    assert conductor_levels(3, 60) == range(1, 3)
+    assert conductor_levels(7, 5) == range(0) == conductor_levels(2, 21)
 
 
 @pytest.mark.parametrize("mu", [None, 2, 3, 4, 6, 8, 9, 12])
@@ -234,6 +261,22 @@ def test_local_character_validation():
     )
     with pytest.raises(AttributeError):
         a.uniformizer_exponent = 2
+
+
+def test_local_data_reject_malformed_input():
+    five, real = Place(5), Place(None)
+    cases = [
+        (lambda: local_character(five, 0), "bad exponent modulus 0"),
+        (lambda: local_character(real, 2, 0, (1,)), "real place carries only a sign"),
+        (lambda: local_character(real, 2, 0, (), 1), "real place carries only a sign"),
+        (lambda: local_character(five, 2, 0, (), 0, 1), "sign exponent only applies to the real place"),
+        (lambda: local_character(five, 2, -1), "bad conductor exponent -1"),
+        (lambda: make_dirichlet(5, (1,), 0), "bad exponent modulus 0"),
+        (lambda: evaluate_local(unramified_local(5, 2, 1), Fraction(0)), "local evaluation at zero"),
+    ]
+    for build, message in cases:
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            build()
 
 
 def test_local_character_equality_is_scale_invariant():

@@ -190,6 +190,27 @@ def test_scan_summary_matches_records(capsys, tmp_path):
             assert float(kv[f"max_{name}"]) == max((float(row[col]) for row in clean), default=0.0)
 
 
+def test_scan_ratio_maxima_are_column_maxima(capsys, tmp_path):
+    # with S = {2, 3, 5, 7} the largest ratio_c is not on the first row, so
+    # the running maximum is updated past it
+    out_file = tmp_path / "scan.csv"
+    argv = ["scan", "--max-conductor", "200", "--S", "2,3,5,7", "--out", str(out_file)]
+    assert run(argv) == 0
+    kv = dict(line.split("=", 1) for line in lines(capsys))
+    rows = [row.split(",") for row in out_file.read_text().splitlines()[1:]]
+    assert int(kv["records"]) == len(rows) and kv["flagged"] == "0"
+    for col, name in ((6, "ratio_a"), (7, "ratio_b"), (8, "ratio_c")):
+        column = [float(row[col]) for row in rows]
+        assert float(kv[f"max_{name}"]) == max(column)
+    assert float(kv["max_ratio_c"]) > float(rows[0][8])
+
+
+def test_least_prime_without_exponents(capsys):
+    # an empty exponent list is the trivial character mod 2: no witness
+    assert run(["least-prime", "--modulus", "2"]) == 2
+    assert capsys.readouterr().err == "error: the trivial character is 1 at every prime\n"
+
+
 def test_place_error_says_not_a_prime(capsys):
     assert run(["special-case", "--m", "8", "--S", "2,9"]) == 2
     assert capsys.readouterr().err.strip() == "error: not a prime: 9"

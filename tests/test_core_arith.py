@@ -151,6 +151,15 @@ def test_valuation():
     assert valuation_rational(Fraction(-9, 5), 3) == 2
 
 
+def test_arith_rejects_malformed_input():
+    with pytest.raises(ValidationError, match="^valuation of zero$"):
+        valuation(0, 3)
+    with pytest.raises(ValidationError, match="^bad place 'x'$"):
+        Place.parse("x")
+    with pytest.raises(ValidationError, match="^not a prime power: 1$"):
+        prime_power(1)
+
+
 @given(st.integers(min_value=2, max_value=10**6))
 def test_prime_power_detection(n):
     try:

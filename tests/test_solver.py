@@ -39,7 +39,7 @@ from grunwald import (
     special_case,
     unramified_local,
 )
-from grunwald.characters import _slice_conductor_exponent
+from grunwald.characters import _level_scale, _slice_conductor_exponent
 from grunwald.core_arith import (
     FACTOR_LIMIT,
     Place,
@@ -50,6 +50,7 @@ from grunwald.core_arith import (
     prime_power,
     primes_stream,
     unit_orders,
+    valuation,
 )
 from grunwald.errors import (
     InternalContradictionError,
@@ -66,7 +67,6 @@ from grunwald.solver import (
     _auxiliary_primes,
     _component_reach,
     _exponent,
-    _level_scale,
     _minimal_candidate,
     _oracle_pass_pruned,
     _prescribed_block,
@@ -79,6 +79,7 @@ from grunwald.solver import (
 
 from bounds_matrix import prescriptions
 from reference import iter_characters, unit_row_system
+from test_characters import brute_conductor
 
 INF = Place(None)
 
@@ -519,6 +520,12 @@ def test_wang_unsolvable_at_exponent_eight():
         oracle_minimal(inst, 3000, exponent=8)
 
 
+def test_oracle_rejects_an_exponent_not_a_multiple_of_m():
+    inst = make_instance(4, [unramified_local(5, 4, 1)])
+    with pytest.raises(ValidationError, match="^exponent must be a multiple of the instance exponent$"):
+        oracle_minimal(inst, 100, exponent=5)
+
+
 def test_echelon_rejects_pivot_not_dividing_constant():
     # 2x = 1 mod 4 has no solution: the pivot's valuation 1 does not divide 1
     assert _solve_mod([[2]], [1], 2, 2) is None
@@ -806,24 +813,50 @@ def test_minimal_candidate_on_seed1_construct_lattices():
     assert count == 172
 
 
+def level_scale_reading(p, sl, mu):
+    """The norm factor _minimal_candidate works out on a slice of
+    (Z/p^k)^*: from the last generator's value when nonzero, else from the
+    first generator's, 1 when every value is 0."""
+    (top, q), (low, q0) = _level_scale(p, len(sl) - 1, mu), _level_scale(p, 0, mu)
+    assert q == q0
+    if sl[-1]:
+        return top // math.gcd(sl[-1], q)
+    return low // math.gcd(sl[0], q) if sl[0] else 1
+
+
+LEVEL_SCALE_EXPONENTS = (2, 4, 8, 16, 32, 3, 9, 27, 5, 25, 7, 6, 12, 21, 24, 60)
+
+
 def test_level_scale_matches_the_conductor_rule():
-    # the norm factor _minimal_candidate works out on every slice of
-    # (Z/p^k)^*: from the last generator's value when nonzero, else from
-    # the first generator's, 1 when every value is 0
+    # against the rule written out: a nonzero value t on generator j has
+    # level v_p(mu / gcd(t, mu)) plus 2 on the 5-generator mod 2^k, plus 1
+    # on every other, and the conductor exponent is the last one's level
     for p in (2, 3, 5, 7):
         for k in range(1, 6):
             n = len(unit_orders(p, k))
             if not n:
                 continue
-            for mu in (2, 4, 8, 16, 32, 3, 9, 27, 5, 25, 7):
-                (top, q), (low, q0) = _level_scale(p, n - 1, mu), _level_scale(p, 0, mu)
-                assert q == q0
+            for mu in LEVEL_SCALE_EXPONENTS:
                 for sl in itertools.product(range(mu), repeat=n):
-                    if sl[-1]:
-                        got = top // math.gcd(sl[-1], q)
-                    else:
-                        got = low // math.gcd(sl[0], q) if sl[0] else 1
-                    assert got == p ** _slice_conductor_exponent(p, sl, mu), (p, k, mu, sl)
+                    want = 0
+                    for j, t in enumerate(sl):
+                        if t:
+                            want = valuation(mu // math.gcd(t, mu), p) + (2 if p == 2 and j == 1 else 1)
+                    got = level_scale_reading(p, sl, mu)
+                    assert got == p**want, (p, k, mu, sl)
+
+
+def test_level_scale_matches_brute_conductor():
+    # on every character of exponent mu mod p^k, composite mu included,
+    # against the conductor from its definition
+    for p, top in ((2, 7), (3, 4), (5, 3), (7, 2)):
+        for k in range(1, top + 1):
+            if not unit_orders(p, k):
+                continue
+            for mu in LEVEL_SCALE_EXPONENTS:
+                for chi in iter_characters(p**k, mu):
+                    got = level_scale_reading(p, chi.exponents, mu)
+                    assert got == brute_conductor(chi), (p, k, mu, chi.exponents)
 
 
 def test_minimal_candidate_at_a_large_exponent():

@@ -155,3 +155,8 @@ def test_sixteen_eighth_power_profile():
         assert p == 2 or pow(16, (p - 1) // math.gcd(8, p - 1), p) == 1, p
     assert x > 0  # an 8th power in R
     assert all(y**8 != x for y in range(3))  # a rational 8th root would be an integer
+
+
+def test_special_case_rejects_exponent_zero():
+    with pytest.raises(ValidationError, match="^bad exponent 0$"):
+        special_case(FieldDescriptor(), 0, ())
